@@ -70,29 +70,49 @@ class _Dinic:
                     q.append(e.to)
         return level[t] >= 0
 
-    def _dfs(self, u: int, t: int, f: float, level: list[int], it: list[int]) -> float:
-        if u == t:
-            return f
-        while it[u] < len(self.g[u]):
-            e = self.g[u][it[u]]
-            if e.cap > 1e-12 and level[e.to] == level[u] + 1:
-                pushed = self._dfs(e.to, t, min(f, e.cap), level, it)
-                if pushed > 0:
-                    e.cap -= pushed
-                    self.g[e.to][e.rev].cap += pushed
-                    return pushed
-            it[u] += 1
-        return 0.0
+    def _augment(self, s: int, t: int, level: list[int], it: list[int]) -> float:
+        """Push one blocking-flow path from s to t; 0.0 when none is left.
+
+        Iterative depth-first search, so path length is not bounded by the
+        recursion limit.  A vertex's pointer ``it`` advances only past an
+        edge that led to a dead end or fails the level test.
+        """
+        path: list[_Dinic._Edge] = []
+        verts = [s]
+        u = s
+        while u != t:
+            adj = self.g[u]
+            while it[u] < len(adj):
+                e = adj[it[u]]
+                if e.cap > 1e-12 and level[e.to] == level[u] + 1:
+                    break
+                it[u] += 1
+            else:
+                if not path:
+                    return 0.0
+                path.pop()
+                verts.pop()
+                u = verts[-1]
+                it[u] += 1
+                continue
+            path.append(e)
+            verts.append(e.to)
+            u = e.to
+        pushed = min(e.cap for e in path)
+        for e in path:
+            e.cap -= pushed
+            self.g[e.to][e.rev].cap += pushed
+        return pushed
 
     def max_flow(self, s: int, t: int) -> float:
         flow = 0.0
         level = [-1] * self.n
         while self._bfs(s, t, level):
             it = [0] * self.n
-            pushed = self._dfs(s, t, math.inf, level, it)
+            pushed = self._augment(s, t, level, it)
             while pushed > 0:
                 flow += pushed
-                pushed = self._dfs(s, t, math.inf, level, it)
+                pushed = self._augment(s, t, level, it)
         return flow
 
 

@@ -175,25 +175,30 @@ def _repair_values(net: SymmetrizedNetwork, vals: np.ndarray, value: float) -> n
                 f"residual {worst:.3e} outside the s-t component cannot be repaired"
             )
 
-    vals = np.array(vals)
-    corrections = np.zeros(net.edge_count)
-    # Push each vertex's surplus toward the root (the source); leaves first.
-    for v in order[::-1]:
-        v = int(v)
-        k = int(parent_edge[v])
-        if k < 0:
-            continue
-        push = -mismatch[v]  # flow to send v -> parent
+    # Push each vertex's surplus toward the root (the source), leaves first,
+    # over Python floats.  Every tree edge is the parent edge of exactly one
+    # vertex, so it takes at most one push, and one fancy-indexed add applies
+    # them all: the same single IEEE addition per edge as pushing in place.
+    # Zero pushes are skipped so that a -0.0 edge value stays -0.0.
+    mis = mismatch.tolist()
+    parent = parent_vertex.tolist()
+    pushed: list[int] = []
+    pushes: list[float] = []
+    for v in order[:0:-1].tolist():  # order[0] is the root
+        push = -mis[v]  # flow to send v -> parent
         if push == 0.0:
             continue
-        if int(net.tails[k]) == v:
-            vals[k] += push
-            corrections[k] += push
-        else:
-            vals[k] -= push
-            corrections[k] -= push
-        mismatch[v] = 0.0
-        mismatch[parent_vertex[v]] -= push
+        mis[parent[v]] -= push
+        pushed.append(v)
+        pushes.append(push)
+    verts = np.array(pushed, dtype=np.int64)
+    edges = parent_edge[verts]
+    step = np.array(pushes)
+    step[net.tails[edges] != verts] *= -1.0
+    vals = np.array(vals)
+    vals[edges] += step
+    corrections = np.zeros(net.edge_count)
+    corrections[edges] = step
 
     if net.edge_count:
         limit = 0.1 * net.capacities
@@ -268,20 +273,22 @@ class _StSolveContext:
         self.kt = pos[net.tails[keep]]
         self.kh = pos[net.heads[keep]]
         self.dense = self.n_c <= _DENSE_LIMIT
-        if not self.dense:
-            self._rows = np.concatenate([self.kt, self.kh, self.kt, self.kh])
-            self._cols = np.concatenate([self.kt, self.kh, self.kh, self.kt])
+        rows = np.concatenate([self.kt, self.kh, self.kt, self.kh])
+        cols = np.concatenate([self.kt, self.kh, self.kh, self.kt])
+        if self.dense:
+            self._flat = rows * self.n_c + cols
+        else:
+            self._rows, self._cols = rows, cols
 
     def laplacian(self, r: np.ndarray):
         g = 1.0 / r[self.keep]
-        if self.dense:
-            L = np.zeros((self.n_c, self.n_c))
-            np.add.at(L, (self.kt, self.kt), g)
-            np.add.at(L, (self.kh, self.kh), g)
-            np.add.at(L, (self.kt, self.kh), -g)
-            np.add.at(L, (self.kh, self.kt), -g)
-            return L
         data = np.concatenate([g, g, -g, -g])
+        if self.dense:
+            # bincount adds the weights in input order, so every entry sums
+            # the same terms in the same order as np.add.at over the four
+            # blocks in turn would.
+            n = self.n_c
+            return np.bincount(self._flat, data, n * n).reshape(n, n)
         return sp.coo_matrix(
             (data, (self._rows, self._cols)), shape=(self.n_c, self.n_c)
         ).tocsr()

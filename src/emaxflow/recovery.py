@@ -64,10 +64,23 @@ def subtract_and_halve(flow: FlowAssignment, rtol: float = 1e-9) -> FlowAssignme
 def cycle_cancel(flow: FlowAssignment) -> FlowAssignment:
     """Remove all directed cycles from the flow's support, preserving value.
 
-    Edges are oriented by the sign of their flow; repeatedly find a directed
-    cycle by depth-first search and subtract the cycle's minimum flow.  No
-    edge's magnitude ever increases, and each cancellation zeroes at least
-    one edge, so this terminates with an acyclic support.
+    Edges are oriented by the sign of their flow.  A depth-first search
+    from each root in id order, scanning each vertex's out-edges in index
+    order, finds a directed cycle and subtracts the cycle's minimum flow.
+    No edge's magnitude ever increases, and each cancellation zeroes at
+    least one edge, so this terminates with an acyclic support.
+
+    Cancelling subtracts at most an edge's own magnitude, so no sign ever
+    flips: each edge sits once, on the out-list of its flow tail, for the
+    whole run.  A scan passes over an edge only when it is zero or its
+    head is finished, and both states last, so each vertex's scan pointer
+    persists across visits and stops where a rescan from the start would.
+    After a cancel the search retreats to the tail of the first emptied
+    cycle edge; the path up to there is what a retreat to the cycle's
+    entry vertex would rebuild.  So the result equals, bit for bit, that
+    of a search that rescans every vertex from its first edge and retreats
+    to the entry vertex (the tests keep one as a reference), at a cost of
+    O(m + total length of the cancelled cycles).
     """
     net = flow.network
     vals = np.array(flow.values)
@@ -78,73 +91,60 @@ def cycle_cancel(flow: FlowAssignment) -> FlowAssignment:
     # A self-loop with flow is a one-edge cycle.
     vals[np.asarray(tails == heads)] = 0.0
 
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for k in range(len(vals)):
-        a, b = int(tails[k]), int(heads[k])
-        if a != b and vals[k] != 0.0:
-            adj[a].append(k)
-            adj[b].append(k)
+    fwd = vals > 0.0
+    flow_head = np.where(fwd, heads, tails).tolist()
+    x = vals.tolist()
+    out: list[list[int]] = [[] for _ in range(n)]
+    for k, a in enumerate(np.where(fwd, tails, heads).tolist()):
+        if x[k] != 0.0:
+            out[a].append(k)
 
-    color = np.zeros(n, dtype=np.int8)  # 0 white, 1 on current path, 2 finished
-    ptr = np.zeros(n, dtype=np.int64)
-    pos_on_path = np.full(n, -1, dtype=np.int64)
-
-    def head_of(k: int) -> int:
-        return int(heads[k]) if vals[k] > 0.0 else int(tails[k])
-
-    def tail_of(k: int) -> int:
-        return int(tails[k]) if vals[k] > 0.0 else int(heads[k])
+    color = [0] * n  # 0 white, 1 on current path, 2 finished
+    ptr = [0] * n
+    pos_on_path = [-1] * n
 
     for root in range(n):
         if color[root] != 0:
             continue
         color[root] = 1
-        ptr[root] = 0
+        pos_on_path[root] = 0
         path_v = [root]
         path_e: list[int] = [-1]
-        pos_on_path[root] = 0
         while path_v:
             u = path_v[-1]
-            moved = False
-            while ptr[u] < len(adj[u]):
-                k = adj[u][ptr[u]]
-                if vals[k] == 0.0 or tail_of(k) != u:
-                    ptr[u] += 1
-                    continue
-                w = head_of(k)
-                if color[w] == 2:
-                    ptr[u] += 1
-                    continue
-                if color[w] == 1:
-                    # Cycle: path section from w to u, plus edge k back to w.
-                    start = int(pos_on_path[w])
-                    cyc = path_e[start + 1 :] + [k]
-                    c = min(abs(vals[e]) for e in cyc)
-                    for e in cyc:
-                        vals[e] -= c if vals[e] > 0 else -c
-                    # Retreat to w; support only shrinks, so finished
-                    # vertices stay finished and w's scan position stands.
-                    for v2 in path_v[start + 1 :]:
-                        color[v2] = 0
-                        pos_on_path[v2] = -1
-                        ptr[v2] = 0
-                    del path_v[start + 1 :]
-                    del path_e[start + 1 :]
-                    moved = True
-                    break
-                color[w] = 1
-                ptr[w] = 0
-                pos_on_path[w] = len(path_v)
-                path_v.append(w)
-                path_e.append(k)
-                moved = True
-                break
-            if not moved:
+            adj = out[u]
+            i = ptr[u]
+            while i < len(adj) and (x[adj[i]] == 0.0 or color[flow_head[adj[i]]] == 2):
+                i += 1
+            ptr[u] = i
+            if i == len(adj):
                 color[u] = 2
                 pos_on_path[u] = -1
                 path_v.pop()
                 path_e.pop()
-    return FlowAssignment(net, vals)
+                continue
+            k = adj[i]
+            w = flow_head[k]
+            if color[w] == 0:
+                color[w] = 1
+                pos_on_path[w] = len(path_v)
+                path_v.append(w)
+                path_e.append(k)
+                continue
+            # Cycle: path section from w to u, plus edge k back to w.
+            start = pos_on_path[w]
+            cyc = path_e[start + 1 :] + [k]
+            c = min(abs(x[e]) for e in cyc)
+            for e in cyc:
+                x[e] -= c if x[e] > 0 else -c
+            # The tail of cycle edge j is path_v[start + j].
+            cut = start + 1 + next(j for j, e in enumerate(cyc) if x[e] == 0.0)
+            for v2 in path_v[cut:]:
+                color[v2] = 0
+                pos_on_path[v2] = -1
+            del path_v[cut:]
+            del path_e[cut:]
+    return FlowAssignment(net, x)
 
 
 def extract_directed(

@@ -2,7 +2,10 @@
 
 Everything here deliberately avoids the library's solution paths: min cuts
 by subset enumeration, max flows by bounded integral enumeration, minimum
-energies by dense least squares on the Laplacian pseudoinverse.
+energies by dense least squares on the Laplacian pseudoinverse.  The
+``*_reference`` functions keep the library's first, plain loops for cycle
+cancelling, tree repair and dense Laplacian assembly; the library's faster
+versions must return the same bits.
 """
 
 from __future__ import annotations
@@ -11,7 +14,8 @@ import itertools
 
 import numpy as np
 
-from emaxflow import DirectedNetwork, FlowAssignment, SymmetrizedNetwork
+from emaxflow import DirectedNetwork, FlowAssignment, RepairError, SymmetrizedNetwork
+from emaxflow.network import Network
 
 
 def directed_min_cut(network: DirectedNetwork) -> float:
@@ -177,10 +181,165 @@ def is_acyclic_support(flow: FlowAssignment) -> bool:
 
 
 def random_conserving_flow(
-    net: SymmetrizedNetwork, value: float, rng: np.random.Generator
+    net: Network, value: float, rng: np.random.Generator
 ) -> FlowAssignment:
     """A conserving s-t flow of the given value with a random cycle-space
-    component, built from random potentials plus scaled electrical flow."""
+    component: the minimum-energy flow for random resistances (a potential
+    flow, so acyclic) plus the random circulation z - B^T (B B^T)^+ B z,
+    the projection of a random edge vector z onto the kernel of B."""
     r = rng.uniform(0.2, 5.0, net.edge_count)
     _, f = min_energy_flow_dense(net, r, value)
-    return FlowAssignment(net, f)
+    B = net.incidence.toarray()
+    z = rng.uniform(-1.0, 1.0, net.edge_count) * max(1.0, value)
+    circulation = z - B.T @ (np.linalg.pinv(B @ B.T) @ (B @ z))
+    return FlowAssignment(net, f + circulation)
+
+
+def cycle_cancel_reference(flow: FlowAssignment) -> FlowAssignment:
+    """`recovery.cycle_cancel` as first written: every edge on the lists of
+    both endpoints, directions read from the current sign, scan pointers
+    reset on every visit, and a retreat to the cycle's entry vertex after
+    each cancel.  The library must match it bit for bit."""
+    net = flow.network
+    vals = np.array(flow.values)
+    n = net.vertex_count
+    tails = net.tails
+    heads = net.heads
+
+    # A self-loop with flow is a one-edge cycle.
+    vals[np.asarray(tails == heads)] = 0.0
+
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for k in range(len(vals)):
+        a, b = int(tails[k]), int(heads[k])
+        if a != b and vals[k] != 0.0:
+            adj[a].append(k)
+            adj[b].append(k)
+
+    color = np.zeros(n, dtype=np.int8)  # 0 white, 1 on current path, 2 finished
+    ptr = np.zeros(n, dtype=np.int64)
+    pos_on_path = np.full(n, -1, dtype=np.int64)
+
+    def head_of(k: int) -> int:
+        return int(heads[k]) if vals[k] > 0.0 else int(tails[k])
+
+    def tail_of(k: int) -> int:
+        return int(tails[k]) if vals[k] > 0.0 else int(heads[k])
+
+    for root in range(n):
+        if color[root] != 0:
+            continue
+        color[root] = 1
+        ptr[root] = 0
+        path_v = [root]
+        path_e: list[int] = [-1]
+        pos_on_path[root] = 0
+        while path_v:
+            u = path_v[-1]
+            moved = False
+            while ptr[u] < len(adj[u]):
+                k = adj[u][ptr[u]]
+                if vals[k] == 0.0 or tail_of(k) != u:
+                    ptr[u] += 1
+                    continue
+                w = head_of(k)
+                if color[w] == 2:
+                    ptr[u] += 1
+                    continue
+                if color[w] == 1:
+                    # Cycle: path section from w to u, plus edge k back to w.
+                    start = int(pos_on_path[w])
+                    cyc = path_e[start + 1 :] + [k]
+                    c = min(abs(vals[e]) for e in cyc)
+                    for e in cyc:
+                        vals[e] -= c if vals[e] > 0 else -c
+                    # Retreat to w; support only shrinks, so finished
+                    # vertices stay finished and w's scan position stands.
+                    for v2 in path_v[start + 1 :]:
+                        color[v2] = 0
+                        pos_on_path[v2] = -1
+                        ptr[v2] = 0
+                    del path_v[start + 1 :]
+                    del path_e[start + 1 :]
+                    moved = True
+                    break
+                color[w] = 1
+                ptr[w] = 0
+                pos_on_path[w] = len(path_v)
+                path_v.append(w)
+                path_e.append(k)
+                moved = True
+                break
+            if not moved:
+                color[u] = 2
+                pos_on_path[u] = -1
+                path_v.pop()
+                path_e.pop()
+    return FlowAssignment(net, vals)
+
+
+def repair_values_reference(
+    net: SymmetrizedNetwork, vals: np.ndarray, value: float
+) -> np.ndarray:
+    """`electrical._repair_values` as first written, pushing along the tree
+    one NumPy scalar at a time.  The library must match it bit for bit."""
+    resid = net.incidence @ vals
+    target = np.zeros(net.vertex_count)
+    target[net.source] = value
+    target[net.sink] = -value
+    mismatch = resid - target
+
+    order, parent_vertex, parent_edge = net.spanning_tree
+    in_tree = np.zeros(net.vertex_count, dtype=bool)
+    in_tree[order] = True
+    outside = ~in_tree
+    if outside.any():
+        worst = float(np.abs(mismatch[outside]).max())
+        scale = max(1.0, abs(value))
+        if worst > 1e-9 * scale:
+            raise RepairError(
+                f"residual {worst:.3e} outside the s-t component cannot be repaired"
+            )
+
+    vals = np.array(vals)
+    corrections = np.zeros(net.edge_count)
+    # Push each vertex's surplus toward the root (the source); leaves first.
+    for v in order[::-1]:
+        v = int(v)
+        k = int(parent_edge[v])
+        if k < 0:
+            continue
+        push = -mismatch[v]  # flow to send v -> parent
+        if push == 0.0:
+            continue
+        if int(net.tails[k]) == v:
+            vals[k] += push
+            corrections[k] += push
+        else:
+            vals[k] -= push
+            corrections[k] -= push
+        mismatch[v] = 0.0
+        mismatch[parent_vertex[v]] -= push
+
+    if net.edge_count:
+        limit = 0.1 * net.capacities
+        if (np.abs(corrections) > limit).any():
+            k = int(np.argmax(np.abs(corrections) - limit))
+            raise RepairError(
+                f"conservation repair of {corrections[k]:.3e} on edge {k} exceeds "
+                f"10% of its capacity {net.capacities[k]:.3e}; solve tolerance too loose"
+            )
+    return vals
+
+
+def dense_laplacian_reference(ctx, r: np.ndarray) -> np.ndarray:
+    """The dense s-t Laplacian of an `electrical._StSolveContext`, assembled
+    by four `np.add.at` calls as first written.  The library must match it
+    bit for bit."""
+    g = 1.0 / r[ctx.keep]
+    L = np.zeros((ctx.n_c, ctx.n_c))
+    np.add.at(L, (ctx.kt, ctx.kt), g)
+    np.add.at(L, (ctx.kh, ctx.kh), g)
+    np.add.at(L, (ctx.kt, ctx.kh), -g)
+    np.add.at(L, (ctx.kh, ctx.kt), -g)
+    return L

@@ -134,6 +134,13 @@ class TestVerify:
         )
         assert main(["verify", "--input", str(path), "--epsilon", "0.4"]) == 4
 
+    def test_long_path(self, tmp_path):
+        # 1,500 vertices: deeper than the interpreter's recursion limit.
+        path = tmp_path / "path.max"
+        arcs = "".join(f"a {i} {i + 1} 1\n" for i in range(1, 1500))
+        path.write_text(f"p max 1500 1499\nn 1 s\nn 1500 t\n{arcs}")
+        assert main(["verify", "--input", str(path), "--epsilon", "0.25"]) == 0
+
     def test_valid_certificate(self, single_arc_file, tmp_path):
         cert = tmp_path / "cert.json"
         cert.write_text(json.dumps({"value": 1.0, "arc_flows": [1.0]}))

@@ -72,6 +72,13 @@ class TestExactMaxFlow:
             value, _ = exact_max_flow(G)
             assert value == brute_force_max_flow(G)
 
+    def test_long_path(self):
+        # An augmenting path longer than the interpreter's recursion limit.
+        G = DirectedNetwork(1500, [(i, i + 1, 1.0) for i in range(1499)], 0, 1499)
+        value, flow = exact_max_flow(G)
+        assert value == 1.0
+        assert (flow.values == 1.0).all()
+
 
 class TestExactUndirected:
     def test_single_arc_value(self):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emaxflow import (
     DirectedNetwork,
     DisconnectedNetworkError,
     FlowAssignment,
+    RepairError,
     assemble_laplacian,
     electrical_st_flow,
     energy,
@@ -13,10 +16,15 @@ from emaxflow import (
     solve_potentials,
     symmetrize,
 )
-from emaxflow.electrical import default_solve_tolerance
+from emaxflow.electrical import _repair_values, _st_context, default_solve_tolerance
 
 from corpus import nonempty_network, random_network
-from oracles import min_energy_flow_dense
+from oracles import (
+    dense_laplacian_reference,
+    min_energy_flow_dense,
+    random_conserving_flow,
+    repair_values_reference,
+)
 
 
 def single_edge_net(r_cap=1.0):
@@ -193,6 +201,57 @@ class TestRepairConservation:
         bound = 2 * correction * float(np.abs(fixed.values).max()) * float(r.max())
         shift = abs(energy(fixed, r) - energy(noisy, r))
         assert shift <= bound + 1e-12
+
+
+class TestRepairMatchesReference:
+    """The library's tree repair returns the reference loop's bits."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 5000),
+        value=st.floats(0.1, 4, allow_nan=False),
+        noise_exp=st.integers(-12, -1),
+        zeros=st.booleans(),
+    )
+    def test_bit_identical(self, seed, value, noise_exp, zeros):
+        net = symmetrize(nonempty_network(seed, n_min=3), 0.3)
+        rng = np.random.default_rng(seed)
+        vals = random_conserving_flow(net, value, rng).values.copy()
+        vals += rng.normal(0, 10.0**noise_exp, net.edge_count)
+        if zeros:
+            hit = rng.random(net.edge_count) < 0.2
+            vals[hit] = np.where(rng.random(int(hit.sum())) < 0.5, 0.0, -0.0)
+        try:
+            ref = repair_values_reference(net, vals, value)
+        except RepairError as exc:
+            with pytest.raises(RepairError) as got:
+                _repair_values(net, vals, value)
+            assert str(got.value) == str(exc)
+            return
+        out = _repair_values(net, vals, value)
+        assert np.array_equal(out, ref)
+        assert np.array_equal(np.signbit(out), np.signbit(ref))
+
+    def test_zero_pushes_keep_signed_zeros(self):
+        net = symmetrize(nonempty_network(5, n_min=4), 0.3)
+        vals = np.full(net.edge_count, -0.0)
+        out = _repair_values(net, vals, 0.0)
+        ref = repair_values_reference(net, vals, 0.0)
+        assert np.array_equal(np.signbit(out), np.signbit(ref))
+        assert np.signbit(out).all()
+
+
+class TestDenseLaplacianMatchesReference:
+    """The dense s-t Laplacian equals the `np.add.at` assembly bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 5000), spread=st.floats(0, 8, allow_nan=False))
+    def test_bit_identical(self, seed, spread):
+        net = symmetrize(nonempty_network(seed, n_min=3, n_max=30, m_max=120), 0.3)
+        ctx = _st_context(net)
+        assert ctx.connected and ctx.dense
+        r = np.exp(np.random.default_rng(seed).uniform(-spread, spread, net.edge_count))
+        assert np.array_equal(ctx.laplacian(r), dense_laplacian_reference(ctx, r))
 
 
 class TestEnergy:

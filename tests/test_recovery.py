@@ -18,7 +18,7 @@ from emaxflow import (
 from emaxflow.recovery import link_routing_values
 
 from corpus import nonempty_network
-from oracles import is_acyclic_support, random_conserving_flow
+from oracles import cycle_cancel_reference, is_acyclic_support, random_conserving_flow
 
 
 def single_arc(eps=0.5):
@@ -116,8 +116,19 @@ class TestCycleCancel:
         for seed in (3, 8, 13):
             net = symmetrize(nonempty_network(seed, n_min=4), 0.3)
             f = random_conserving_flow(net, 1.3, rng)
+            assert not is_acyclic_support(f)
             out = cycle_cancel(f)
             assert is_acyclic_support(out)
+
+    def test_random_conserving_flows_are_mostly_cyclic(self):
+        # The flows the tests here cancel must hold cycles to cancel.
+        cyclic = 0
+        for seed in range(100):
+            G = nonempty_network(seed, n_min=3)
+            for net in (G, symmetrize(G, 0.3)):
+                f = random_conserving_flow(net, 2.0, np.random.default_rng(seed))
+                cyclic += not is_acyclic_support(f)
+        assert cyclic >= 150
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 5000), value=st.floats(0, 4, allow_nan=False))
@@ -130,6 +141,36 @@ class TestCycleCancel:
         assert out.source_outflow() == pytest.approx(f.source_outflow(), abs=1e-9 * scale)
         assert (np.abs(out.values) <= np.abs(f.values) + 1e-12 * scale).all()
         assert is_acyclic_support(out)
+
+
+class TestCycleCancelMatchesReference:
+    """The library's cycle cancelling returns the reference loop's bits."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 5000),
+        value=st.floats(0, 4, allow_nan=False),
+        symmetrized=st.booleans(),
+        integral=st.booleans(),
+        zeros=st.booleans(),
+    )
+    def test_bit_identical(self, seed, value, symmetrized, integral, zeros):
+        G = nonempty_network(seed, n_min=3)
+        net = symmetrize(G, 0.3) if symmetrized else G
+        rng = np.random.default_rng(seed)
+        if integral:
+            # Small integers make cycles whose minimum several edges share.
+            vals = rng.integers(-3, 4, net.edge_count).astype(float)
+        else:
+            vals = random_conserving_flow(net, value, rng).values.copy()
+        if zeros:
+            hit = rng.random(net.edge_count) < 0.3
+            vals[hit] = np.where(rng.random(int(hit.sum())) < 0.5, 0.0, -0.0)
+        f = FlowAssignment(net, vals)
+        out = cycle_cancel(f).values
+        ref = cycle_cancel_reference(f).values
+        assert np.array_equal(out, ref)
+        assert np.array_equal(np.signbit(out), np.signbit(ref))
 
 
 class TestExtractDirected:
