@@ -1,58 +1,29 @@
-"""Approximate directed max flow via electrical flows and multiplicative weights."""
+"""Approximate directed max flow via electrical flows and multiplicative weights.
 
-from .driver import (
-    SolveReport,
-    approx_max_flow,
-    exact_max_flow,
-    exact_undirected_max_flow,
-    undirected_max_flow_witness,
-)
+The package exports the functions the README documents, the types of their
+arguments and results, and the exceptions they raise.  Everything else is
+importable from its submodule.
+"""
+
+from .driver import SolveReport, approx_max_flow, exact_max_flow
 from .electrical import (
     ConvergenceError,
     DisconnectedNetworkError,
     ElectricalSolveResult,
     RepairError,
-    assemble_laplacian,
     electrical_st_flow,
-    energy,
-    induced_flow,
-    repair_conservation,
-    solve_potentials,
 )
-from .mwu import (
-    BoundedFlowResult,
-    OracleOutcome,
-    OracleParams,
-    Verdict,
-    WeightVector,
-    WidthViolationError,
-    compute_resistances,
-    congestion_of,
-    fail_threshold,
-    oracle_step,
-    solve_bounded_flow,
-    update_weights,
-)
+from .mwu import BoundedFlowResult, WidthViolationError, solve_bounded_flow
 from .network import (
     ConservationError,
     DimacsParseError,
     DirectedNetwork,
     FlowAssignment,
-    Provenance,
     SymmetrizedNetwork,
-    flow_value,
     parse_dimacs,
     symmetrize,
-    write_dimacs,
 )
-from .recovery import (
-    RecoveryError,
-    RecoveryResult,
-    cycle_cancel,
-    extract_directed,
-    recover_directed_flow,
-    subtract_and_halve,
-)
+from .recovery import RecoveryError, RecoveryResult, recover_directed_flow
 
 __version__ = "0.1.0"
 
@@ -65,39 +36,17 @@ __all__ = [
     "DisconnectedNetworkError",
     "ElectricalSolveResult",
     "FlowAssignment",
-    "OracleOutcome",
-    "OracleParams",
-    "Provenance",
     "RecoveryError",
     "RecoveryResult",
     "RepairError",
     "SolveReport",
     "SymmetrizedNetwork",
-    "Verdict",
-    "WeightVector",
     "WidthViolationError",
     "approx_max_flow",
-    "assemble_laplacian",
-    "compute_resistances",
-    "congestion_of",
-    "cycle_cancel",
     "electrical_st_flow",
-    "energy",
     "exact_max_flow",
-    "exact_undirected_max_flow",
-    "extract_directed",
-    "fail_threshold",
-    "flow_value",
-    "induced_flow",
-    "oracle_step",
     "parse_dimacs",
     "recover_directed_flow",
-    "repair_conservation",
     "solve_bounded_flow",
-    "solve_potentials",
-    "subtract_and_halve",
     "symmetrize",
-    "undirected_max_flow_witness",
-    "update_weights",
-    "write_dimacs",
 ]

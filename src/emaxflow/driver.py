@@ -123,7 +123,7 @@ def exact_max_flow(network: DirectedNetwork) -> tuple[float, FlowAssignment]:
     for u, v, c in zip(network.tails, network.heads, network.capacities):
         handles.append(dinic.add_edge(int(u), int(v), float(c)))
     value = dinic.max_flow(network.source, network.sink)
-    flows = np.empty(network.m)
+    flows = np.empty(network.edge_count)
     for i, (u, slot) in enumerate(handles):
         e = dinic.g[u][slot]
         flows[i] = float(network.capacities[i]) - e.cap
@@ -159,12 +159,6 @@ def undirected_max_flow_witness(net: SymmetrizedNetwork) -> tuple[float, FlowAss
         )
         vals[k] = got
     return value, FlowAssignment(net, vals)
-
-
-def exact_undirected_max_flow(net: SymmetrizedNetwork) -> float:
-    """Exact max flow value of the symmetrized (undirected) network."""
-    value, _ = undirected_max_flow_witness(net)
-    return value
 
 
 def _round12(x: Optional[float]) -> Optional[float]:
@@ -367,7 +361,7 @@ def approx_max_flow(
                 else:
                     f_cap = probe_value
 
-    flows = np.zeros(network.m)
+    flows = np.zeros(network.edge_count)
     flows[useful] = best.directed_flow.values
     best = replace(best, directed_flow=FlowAssignment(network, flows))
 
@@ -383,7 +377,7 @@ def approx_max_flow(
     report = SolveReport(
         instance=instance,
         n=network.vertex_count,
-        m=network.m,
+        m=network.edge_count,
         epsilon=epsilon,
         approx_value=best.value,
         exact_value=exact_value,

@@ -3,8 +3,8 @@
 The linear solve is a Jacobi-preconditioned conjugate gradient restricted to
 the component containing the source and sink, with an explicit relative
 residual contract.  Because the iterate is only approximately conserving,
-`repair_conservation` afterwards routes the leftover vertex residuals along
-a fixed spanning tree so the returned flow conserves exactly and has exactly
+`_repair_values` afterwards routes the leftover vertex residuals along a
+fixed spanning tree so the returned flow conserves exactly and has exactly
 the requested value.
 """
 
@@ -30,93 +30,11 @@ class RepairError(RuntimeError):
     """Conservation residuals were too large to repair safely."""
 
 
-def assemble_laplacian(net: SymmetrizedNetwork, resistances: np.ndarray) -> sp.csr_matrix:
-    """Weighted Laplacian with per-edge conductance 1/r.
-
-    Parallel edges accumulate; self-loops contribute nothing.  The result is
-    symmetric with zero row sums.
-    """
-    r = np.asarray(resistances, dtype=np.float64)
-    if r.shape != (net.edge_count,):
-        raise ValueError(f"expected {net.edge_count} resistances, got {r.shape}")
-    if not (np.isfinite(r).all() and (r > 0).all()):
-        raise ValueError("resistances must be finite and strictly positive")
-    b = net.incidence
-    return (b.multiply(1.0 / r) @ b.T).tocsr()
-
-
-def solve_potentials(
-    laplacian: sp.spmatrix,
-    source: int,
-    sink: int,
-    value: float,
-    tol: float,
-    x0: np.ndarray | None = None,
-    max_iter: int | None = None,
-) -> np.ndarray:
-    """Vertex potentials phi with ||L phi - b||_2 <= tol * ||b||_2.
-
-    Here b injects ``value`` units at the source and extracts them at the
-    sink.  The solve runs on the component containing both; the gauge is
-    phi[sink] = 0 and phi is zero off that component.
-    """
-    phi, _, _ = _solve_potentials_detailed(laplacian, source, sink, value, tol, x0, max_iter)
-    return phi
-
-
-def _solve_potentials_detailed(
-    laplacian: sp.spmatrix,
-    source: int,
-    sink: int,
-    value: float,
-    tol: float,
-    x0: np.ndarray | None = None,
-    max_iter: int | None = None,
-) -> tuple[np.ndarray, int, float]:
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if value < 0:
-        raise ValueError("value must be nonnegative")
-    L = laplacian.tocsr()
-    n = L.shape[0]
-    phi = np.zeros(n)
-    if value == 0.0:
-        return phi, 0, 0.0
-
-    offdiag = L.copy()
-    offdiag.setdiag(0.0)
-    offdiag.eliminate_zeros()
-    _, labels = sp.csgraph.connected_components(offdiag, directed=False)
-    if labels[source] != labels[sink]:
-        raise DisconnectedNetworkError(
-            "source and sink are not connected in the support graph"
-        )
-    idx = np.flatnonzero(labels == labels[source])
-    Lc = L[idx][:, idx].tocsr()
-    b = np.zeros(len(idx))
-    pos = {int(v): i for i, v in enumerate(idx)}
-    b[pos[source]] = value
-    b[pos[sink]] = -value
-
-    x = np.zeros(len(idx)) if x0 is None else np.asarray(x0, dtype=np.float64)[idx].copy()
-    x -= x.mean()
-    xc, iters, resnorm = _pcg(Lc, b, x, tol * np.linalg.norm(b), max_iter)
-    phi[idx] = xc
-    phi -= phi[sink]
-    return phi, iters, resnorm
-
-
 def _pcg(
-    A: sp.csr_matrix,
-    b: np.ndarray,
-    x: np.ndarray,
-    atol: float,
-    max_iter: int | None,
+    A: sp.csr_matrix, b: np.ndarray, x: np.ndarray, atol: float
 ) -> tuple[np.ndarray, int, float]:
     """Jacobi-preconditioned CG, iterates projected against the constant vector."""
-    n = len(b)
-    if max_iter is None:
-        max_iter = 100 * n + 2000
+    max_iter = 100 * len(b) + 2000
     inv_diag = 1.0 / A.diagonal()
     r = b - A @ x
     r -= r.mean()
@@ -146,17 +64,14 @@ def _pcg(
     )
 
 
-def induced_flow(
-    phi: np.ndarray, net: SymmetrizedNetwork, resistances: np.ndarray
-) -> FlowAssignment:
-    """Ohm's-law flow: f(edge) = (phi[tail] - phi[head]) / r."""
-    r = np.asarray(resistances, dtype=np.float64)
-    vals = (phi[net.tails] - phi[net.heads]) / r
-    return FlowAssignment(net, vals)
-
-
 def _repair_values(net: SymmetrizedNetwork, vals: np.ndarray, value: float) -> np.ndarray:
-    """Array-level conservation repair; see `repair_conservation`."""
+    """Make ``vals`` conserve exactly with net source outflow exactly ``value``.
+
+    The correction is routed along the network's fixed BFS spanning tree of
+    the s-t component.  Raises `RepairError` if any single-edge correction
+    exceeds 10% of that edge's capacity, which signals the linear solve was
+    far too loose.
+    """
     resid = net.incidence @ vals
     target = np.zeros(net.vertex_count)
     target[net.source] = value
@@ -211,26 +126,6 @@ def _repair_values(net: SymmetrizedNetwork, vals: np.ndarray, value: float) -> n
     return vals
 
 
-def repair_conservation(flow: FlowAssignment, value: float) -> FlowAssignment:
-    """Make the flow conserve exactly with net source outflow exactly ``value``.
-
-    The correction is routed along the network's fixed BFS spanning tree of
-    the s-t component.  Raises `RepairError` if any single-edge correction
-    exceeds 10% of that edge's capacity, which signals the linear solve was
-    far too loose.
-    """
-    net = flow.network
-    if not isinstance(net, SymmetrizedNetwork):
-        raise TypeError("repair_conservation expects a flow on a SymmetrizedNetwork")
-    return FlowAssignment(net, _repair_values(net, flow.values, value))
-
-
-def energy(flow: FlowAssignment, resistances: np.ndarray) -> float:
-    """Electrical energy sum(r * f^2)."""
-    r = np.asarray(resistances, dtype=np.float64)
-    return float(np.sum(r * flow.values * flow.values))
-
-
 @dataclass(frozen=True)
 class ElectricalSolveResult:
     """An approximate electrical s-t flow plus solve diagnostics."""
@@ -251,24 +146,25 @@ class _StSolveContext:
     """Cached s-t component restriction and Laplacian assembly pattern.
 
     The support graph of a `SymmetrizedNetwork` never changes (resistances
-    are always strictly positive), so the component decomposition and the
-    scatter pattern can be built once and reused across every oracle call.
+    are always strictly positive), so the component and the scatter pattern
+    can be built once and reused across every oracle call.  The component
+    is the vertex set of the BFS tree that `_repair_values` routes along.
     """
 
     def __init__(self, net: SymmetrizedNetwork):
-        labels = net.vertex_components
-        self.connected = bool(labels[net.source] == labels[net.sink]) and net.edge_count > 0
-        if not self.connected:
-            return
-        comp = labels[net.source]
-        idx = np.flatnonzero(labels == comp)
+        in_tree = np.zeros(net.vertex_count, dtype=bool)
+        in_tree[net.spanning_tree[0]] = True
+        idx = np.flatnonzero(in_tree)
         pos = np.full(net.vertex_count, -1, dtype=np.int64)
         pos[idx] = np.arange(len(idx))
+        self.connected = bool(pos[net.sink] >= 0)
+        if not self.connected:
+            return
         self.idx = idx
         self.n_c = len(idx)
         self.s_pos = int(pos[net.source])
         self.t_pos = int(pos[net.sink])
-        keep = np.flatnonzero((net.tails != net.heads) & (labels[net.tails] == comp))
+        keep = np.flatnonzero((net.tails != net.heads) & (pos[net.tails] >= 0))
         self.keep = keep
         self.kt = pos[net.tails[keep]]
         self.kh = pos[net.heads[keep]]
@@ -325,7 +221,7 @@ def electrical_st_flow(
     b[ctx.t_pos] = -value
     x = np.zeros(ctx.n_c) if x0 is None else np.asarray(x0, dtype=np.float64)[ctx.idx].copy()
     x -= x.mean()
-    xc, iters, resnorm = _pcg(A, b, x, tol * float(np.linalg.norm(b)), None)
+    xc, iters, resnorm = _pcg(A, b, x, tol * float(np.linalg.norm(b)))
     phi = np.zeros(net.vertex_count)
     phi[ctx.idx] = xc
     phi -= phi[net.sink]

@@ -36,7 +36,7 @@ class WidthViolationError(RuntimeError):
 
 @dataclass(frozen=True)
 class OracleParams:
-    """Loop parameters: accuracy eps, congestion width, solver accuracy."""
+    """Loop parameters: accuracy eps and congestion width."""
 
     epsilon: float
     arc_count: int
@@ -55,10 +55,6 @@ class OracleParams:
     def width(self) -> float:
         """Max congestion any successful oracle flow can carry: sqrt(27 m / eps)."""
         return math.sqrt(27.0 * self.arc_count / self.epsilon)
-
-    @property
-    def electrical_accuracy(self) -> float:
-        return self.epsilon / 10.0
 
 
 class WeightVector:
@@ -121,25 +117,13 @@ def congestion_of(flow: FlowAssignment, net: SymmetrizedNetwork | None = None) -
 def update_weights(
     weights: WeightVector, congestion: np.ndarray, params: OracleParams
 ) -> WeightVector:
-    """Multiplicative update w <- w * (1 + (eps/width) * congestion)."""
-    cong = np.asarray(congestion, dtype=np.float64)
-    width = params.width
-    worst = float(cong.max()) if len(cong) else 0.0
-    if worst > width * (1.0 + 1e-9):
-        raise WidthViolationError(
-            f"congestion {worst:.6g} exceeds the oracle width {width:.6g}"
-        )
-    return WeightVector(weights.values * (1.0 + (params.epsilon / width) * cong))
+    """Multiplicative update w <- w * (1 + (eps/step) * congestion), with
+    step = max(1 + eps, observed max congestion).
 
-
-def _step_weights(
-    weights: WeightVector, congestion: np.ndarray, params: OracleParams
-) -> WeightVector:
-    """Width-adaptive variant of `update_weights` used inside the solve loop.
-
-    Normalizing the step by the observed max congestion instead of the
-    worst-case width keeps the same update shape but converges in far fewer
-    oracle calls; the returned flow is post-verified either way.
+    Normalizing by the observed max congestion instead of the worst-case
+    width keeps the update shape but converges in far fewer oracle calls;
+    the returned flow is post-verified either way.  Congestion above the
+    width raises `WidthViolationError`.
     """
     cong = np.asarray(congestion, dtype=np.float64)
     width = params.width
@@ -234,36 +218,6 @@ def iteration_schedule(net: SymmetrizedNetwork, epsilon: float) -> int:
     """Theoretical oracle-call budget 2 * width * ln(edges) / eps^2."""
     params = OracleParams.for_network(net, epsilon)
     return math.ceil(2.0 * params.width * math.log(max(net.edge_count, 2)) / epsilon**2)
-
-
-def sweep_cut_value(net: SymmetrizedNetwork, phi: np.ndarray) -> float:
-    """Smallest s-t cut among potential threshold cuts {v: phi[v] > theta}.
-
-    Any cut's capacity upper-bounds the undirected max flow, so a sweep cut
-    below a requested flow value certifies that no flow of that value fits
-    the edge capacities.  Returns inf when the potentials do not separate
-    the source from the sink.
-    """
-    if net.edge_count == 0:
-        return math.inf
-    phi_s = phi[net.source]
-    phi_t = phi[net.sink]
-    if not phi_s > phi_t:
-        return math.inf
-    levels = np.unique(phi)
-    lo = np.minimum(phi[net.tails], phi[net.heads])
-    hi = np.maximum(phi[net.tails], phi[net.heads])
-    li = np.searchsorted(levels, lo)
-    hi_i = np.searchsorted(levels, hi)
-    diff = np.zeros(len(levels) + 1)
-    np.add.at(diff, li, net.capacities)
-    np.add.at(diff, hi_i, -net.capacities)
-    crossing = np.cumsum(diff)[:-1]  # capacity crossing (levels[j], levels[j+1])
-    j_t = int(np.searchsorted(levels, phi_t))
-    j_s = int(np.searchsorted(levels, phi_s))
-    if j_s <= j_t:
-        return math.inf
-    return float(crossing[j_t:j_s].min())
 
 
 #: Failure modes that prove no flow of the target value fits the symmetrized
@@ -417,7 +371,7 @@ def bounded_flow_attempts(
             for key in [k for k in snapshots if 0 < k < half_start]:
                 del snapshots[key]
 
-        weights = _step_weights(weights, out.congestion, params)
+        weights = update_weights(weights, out.congestion, params)
         top = float(weights.values.max())
         if top > 1.0:
             log_scale += math.log(top)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO, Union
+from typing import Iterable, TextIO, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -53,14 +53,6 @@ class Provenance(enum.IntEnum):
     ORIGINAL = 0
     SOURCE_LINK = 1
     SINK_LINK = 2
-
-
-class Edge(NamedTuple):
-    tail: int
-    head: int
-    capacity: float
-    provenance: Provenance
-    parent_arc: int
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -119,10 +111,6 @@ class DirectedNetwork:
         self.capacities = _readonly(np.asarray(caps, dtype=np.float64))
 
     @property
-    def m(self) -> int:
-        return len(self.tails)
-
-    @property
     def edge_count(self) -> int:
         return len(self.tails)
 
@@ -146,7 +134,7 @@ class DirectedNetwork:
 
     def __repr__(self) -> str:
         return (
-            f"DirectedNetwork(n={self.vertex_count}, m={self.m}, "
+            f"DirectedNetwork(n={self.vertex_count}, m={self.edge_count}, "
             f"s={self.source}, t={self.sink})"
         )
 
@@ -192,40 +180,9 @@ class SymmetrizedNetwork:
     def edge_count(self) -> int:
         return len(self.tails)
 
-    @property
-    def edges(self) -> list[Edge]:
-        return [
-            Edge(int(a), int(b), float(c), Provenance(int(p)), int(e))
-            for a, b, c, p, e in zip(
-                self.tails, self.heads, self.capacities, self.provenance, self.parent_arc
-            )
-        ]
-
     @cached_property
     def incidence(self) -> sp.csr_matrix:
         return _incidence_matrix(self.vertex_count, self.tails, self.heads)
-
-    @cached_property
-    def vertex_components(self) -> np.ndarray:
-        """Connected-component label per vertex of the support graph.
-
-        Self-loop edges do not connect anything; isolated vertices get
-        their own labels.
-        """
-        keep = self.tails != self.heads
-        adj = sp.coo_matrix(
-            (
-                np.ones(int(keep.sum())),
-                (self.tails[keep], self.heads[keep]),
-            ),
-            shape=(self.vertex_count, self.vertex_count),
-        )
-        n_comp, labels = sp.csgraph.connected_components(adj, directed=False)
-        return _readonly(labels)
-
-    def st_connected(self) -> bool:
-        labels = self.vertex_components
-        return bool(labels[self.source] == labels[self.sink])
 
     @cached_property
     def spanning_tree(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -304,7 +261,7 @@ def symmetrize(network: DirectedNetwork, epsilon: float) -> SymmetrizedNetwork:
     epsilon = float(epsilon)
     if not (0.0 < epsilon <= 0.5):
         raise ValueError(f"epsilon must lie in (0, 1/2], got {epsilon}")
-    m = network.m
+    m = network.edge_count
     u, v, c = network.tails, network.heads, network.capacities
     s = np.full(m, network.source, dtype=np.int64)
     t = np.full(m, network.sink, dtype=np.int64)
@@ -476,7 +433,7 @@ def parse_dimacs(text: str | TextIO) -> DirectedNetwork:
 
 def write_dimacs(network: DirectedNetwork, fp: TextIO | None = None) -> str:
     """Serialize a network in DIMACS max-flow format (1-based vertex ids)."""
-    lines = [f"p max {network.vertex_count} {network.m}"]
+    lines = [f"p max {network.vertex_count} {network.edge_count}"]
     lines.append(f"n {network.source + 1} s")
     lines.append(f"n {network.sink + 1} t")
     for u, v, c in zip(network.tails, network.heads, network.capacities):

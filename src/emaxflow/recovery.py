@@ -160,7 +160,7 @@ def extract_directed(
     net = flow.network
     if not isinstance(net, SymmetrizedNetwork):
         raise TypeError("extract_directed expects a flow on a SymmetrizedNetwork")
-    if net.m_arcs != network.m:
+    if net.m_arcs != network.edge_count:
         raise ValueError("symmetrized network does not match the directed network")
     cap_scale = float(net.capacities.max()) if net.edge_count else 1.0
     link_tol = rtol * max(1.0, cap_scale)

@@ -30,7 +30,7 @@ def nonempty_network(seed: int, **kwargs) -> DirectedNetwork:
     an s-t connected symmetrization)."""
     while True:
         net = random_network(seed, **kwargs)
-        if net.m >= 1:
+        if net.edge_count >= 1:
             return net
         seed += 100_003
 

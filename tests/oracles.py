@@ -2,10 +2,10 @@
 
 Everything here deliberately avoids the library's solution paths: min cuts
 by subset enumeration, max flows by bounded integral enumeration, minimum
-energies by dense least squares on the Laplacian pseudoinverse.  The
-``*_reference`` functions keep the library's first, plain loops for cycle
-cancelling, tree repair and dense Laplacian assembly; the library's faster
-versions must return the same bits.
+energies by dense least squares on the Laplacian pseudoinverse, whole-network
+Laplacians as ``B diag(1/r) B^T``.  The other ``*_reference`` functions keep
+the library's first, plain loops for cycle cancelling, tree repair and dense
+Laplacian assembly; the library's faster versions must return the same bits.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ def brute_force_max_flow(network: DirectedNetwork) -> float:
     pruned when some vertex's imbalance can no longer be repaired by the
     remaining arcs.
     """
-    m = network.m
+    m = network.edge_count
     caps = [int(c) for c in network.capacities]
     if any(float(c) != network.capacities[i] for i, c in enumerate(caps)):
         raise ValueError("brute force needs integral capacities")
@@ -135,6 +135,15 @@ def brute_force_max_flow(network: DirectedNetwork) -> float:
 
     rec(0)
     return float(best)
+
+
+def laplacian_reference(net: SymmetrizedNetwork, resistances: np.ndarray):
+    """Weighted Laplacian B diag(1/r) B^T of the whole network, as a sparse
+    matrix: conductance 1/r per edge, parallel edges accumulate, self-loops
+    contribute nothing, rows sum to zero."""
+    r = np.asarray(resistances, dtype=np.float64)
+    b = net.incidence
+    return (b.multiply(1.0 / r) @ b.T).tocsr()
 
 
 def min_energy_flow_dense(

@@ -24,19 +24,16 @@ import pytest
 
 from emaxflow import (
     FlowAssignment,
-    OracleParams,
     approx_max_flow,
-    cycle_cancel,
     exact_max_flow,
-    exact_undirected_max_flow,
-    extract_directed,
     solve_bounded_flow,
-    subtract_and_halve,
     symmetrize,
 )
+from emaxflow.driver import undirected_max_flow_witness
 from emaxflow.electrical import default_solve_tolerance, electrical_st_flow
-from emaxflow.mwu import BoundedFlowResult
+from emaxflow.mwu import BoundedFlowResult, OracleParams
 from emaxflow.network import Provenance
+from emaxflow.recovery import cycle_cancel, extract_directed, subtract_and_halve
 
 from corpus import random_network, random_sized_network
 from oracles import (
@@ -94,7 +91,7 @@ def corpus_sweep():
                 )
                 case = SweepCase(seed, eps, frac, fstar, target, net, G, res, calls)
                 if not res.succeeded:
-                    case.forced = target > exact_undirected_max_flow(net) + 1e-9
+                    case.forced = target > undirected_max_flow_witness(net)[0] + 1e-9
                 cases.append(case)
     return cases
 
@@ -117,7 +114,7 @@ def test_c1_reduction_identity():
         for eps in EPSILONS:
             expected = symmetrized_cut_value(G, eps)
             closed = (2 + eps) * fstar + (1 + eps) * total
-            actual = exact_undirected_max_flow(symmetrize(G, eps)) if G.m else 0.0
+            actual = undirected_max_flow_witness(symmetrize(G, eps))[0] if G.edge_count else 0.0
             checked += 1
             tol = 1e-6 * max(1.0, abs(expected))
             if abs(actual - expected) > tol or actual > closed + tol:
@@ -148,7 +145,7 @@ def test_c2_electrical_contract():
     while checked < 100:
         G = random_network(seed, n_max=8)
         seed += 1
-        if G.m == 0:
+        if G.edge_count == 0:
             continue
         net = symmetrize(G, 0.25)
         r = rng.uniform(0.05, 5.0, net.edge_count)
@@ -180,7 +177,7 @@ def test_c3_oracle_inequalities(corpus_sweep):
     first_checked = 0
     violations = 0
     for case in corpus_sweep:
-        params = OracleParams(case.eps, case.network.m)
+        params = OracleParams(case.eps, case.network.edge_count)
         n_calls = len(case.calls)
         for i, diag in enumerate(case.calls):
             is_failing_call = (
@@ -223,7 +220,7 @@ def test_c4_bounded_flow_solver_contract():
         total = G.total_capacity()
         for eps in EPSILONS:
             net = symmetrize(G, eps)
-            f_red = min(fstar, (exact_undirected_max_flow(net) - (1 + eps) * total) / 2)
+            f_red = min(fstar, (undirected_max_flow_witness(net)[0] - (1 + eps) * total) / 2)
             # at or below the rounding noise of the max-flow sum, no target
             # lies above the solver's precondition (1+eps) U
             if f_red <= 1e-9 * total:

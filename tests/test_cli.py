@@ -2,10 +2,11 @@ import json
 
 import pytest
 
-from emaxflow import parse_dimacs
+from emaxflow import cli, parse_dimacs
 from emaxflow.cli import main
 
 SINGLE_ARC = "p max 2 1\nn 1 s\nn 2 t\na 1 2 1\n"
+GAP = "p max 4 5\nn 1 s\nn 4 t\na 1 2 1\na 1 3 1\na 2 4 1\na 3 4 1\na 3 2 5\n"
 
 
 @pytest.fixture
@@ -89,13 +90,13 @@ class TestGen:
         second = capsys.readouterr().out
         assert first == second
         net = parse_dimacs(first)
-        assert net.vertex_count == 2 and net.m == 1
+        assert net.vertex_count == 2 and net.edge_count == 1
         assert net.arcs[0][:2] in ((0, 1), (1, 0))
 
     def test_zero_arcs_valid(self, capsys):
         assert main(["gen", "--n", "5", "--m", "0"]) == 0
         net = parse_dimacs(capsys.readouterr().out)
-        assert net.m == 0
+        assert net.edge_count == 0
         from emaxflow import exact_max_flow
 
         assert exact_max_flow(net)[0] == 0.0
@@ -108,13 +109,14 @@ class TestGen:
         assert main(["gen", "--n", "4", "--m", "5", "--seed", "3", "--output", str(out)]) == 0
         net = parse_dimacs(out.read_text())
         assert net.vertex_count == 4
-        assert net.m == 5
+        assert net.edge_count == 5
         assert (net.source, net.sink) == (0, 3)
 
 
 class TestVerify:
     def test_single_arc_identity_holds(self, single_arc_file, capsys):
-        # 4.0 == (2 + 0.5) * 1 + 1.5 for this two-layer instance
+        # 4.0 == (2 + 0.5) * 1 + 1.5 for this two-layer instance, the
+        # upper bound; the lower bound is (2 + 1) * 1 + 1 = 4.0 as well
         code = main(["verify", "--input", single_arc_file, "--epsilon", "0.5"])
         assert code == 0
         out = capsys.readouterr().out
@@ -125,14 +127,24 @@ class TestVerify:
         path.write_text("p max 2 0\nn 1 s\nn 2 t\n")
         assert main(["verify", "--input", str(path), "--epsilon", "0.25"]) == 0
 
-    def test_identity_violation_exits_4(self, tmp_path):
-        # heavy arc entering the source side of a minimum cut
+    def test_entering_arc_within_bounds(self, tmp_path, capsys):
+        # A heavy arc enters the source side of a minimum cut, so the
+        # undirected value 15.4 falls below the closed form 17.4, but it
+        # stays within (2+2eps) F* + U = 14.6 and passes.
         path = tmp_path / "gap.max"
-        path.write_text(
-            "p max 4 5\nn 1 s\nn 4 t\n"
-            "a 1 2 1\na 1 3 1\na 2 4 1\na 3 4 1\na 3 2 5\n"
-        )
-        assert main(["verify", "--input", str(path), "--epsilon", "0.4"]) == 4
+        path.write_text(GAP)
+        assert main(["verify", "--input", str(path), "--epsilon", "0.4"]) == 0
+        out = capsys.readouterr().out
+        assert "15.4" in out and "[14.6, 17.4]" in out
+
+    def test_wrong_undirected_value_exits_4(self, tmp_path, monkeypatch):
+        path = tmp_path / "gap.max"
+        path.write_text(GAP)
+        for wrong in (14.5, 17.5):
+            monkeypatch.setattr(
+                cli, "undirected_max_flow_witness", lambda net, v=wrong: (v, None)
+            )
+            assert main(["verify", "--input", str(path), "--epsilon", "0.4"]) == 4
 
     def test_long_path(self, tmp_path):
         # 1,500 vertices: deeper than the interpreter's recursion limit.

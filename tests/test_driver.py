@@ -8,12 +8,16 @@ from emaxflow import (
     SolveReport,
     approx_max_flow,
     exact_max_flow,
-    exact_undirected_max_flow,
     symmetrize,
-    undirected_max_flow_witness,
 )
+from emaxflow.driver import undirected_max_flow_witness
 
-from corpus import nonempty_network, random_network, random_sized_network
+from corpus import (
+    nonempty_network,
+    random_network,
+    random_sized_network,
+    reduction_corpus,
+)
 from oracles import (
     brute_force_max_flow,
     directed_min_cut,
@@ -84,25 +88,25 @@ class TestExactUndirected:
     def test_single_arc_value(self):
         G = DirectedNetwork(2, [(0, 1, 1.0)], 0, 1)
         net = symmetrize(G, 0.5)
-        assert exact_undirected_max_flow(net) == pytest.approx(4.0)
+        assert undirected_max_flow_witness(net)[0] == pytest.approx(4.0)
 
     def test_two_arc_path_small_epsilon(self):
         G = DirectedNetwork(3, [(0, 1, 1.0), (1, 2, 1.0)], 0, 2)
         net = symmetrize(G, 1e-9)
-        assert exact_undirected_max_flow(net) == pytest.approx(4.0, rel=1e-6)
+        assert undirected_max_flow_witness(net)[0] == pytest.approx(4.0, rel=1e-6)
 
     def test_empty(self):
         G = DirectedNetwork(2, [], 0, 1)
         net = symmetrize(G, 0.25)
-        assert exact_undirected_max_flow(net) == 0.0
+        assert undirected_max_flow_witness(net)[0] == 0.0
 
     def test_matches_cut_enumeration(self):
         for seed in range(20):
             G = random_network(seed, n_max=7)
-            if G.m == 0:
+            if G.edge_count == 0:
                 continue
             net = symmetrize(G, 0.3)
-            assert exact_undirected_max_flow(net) == pytest.approx(
+            assert undirected_max_flow_witness(net)[0] == pytest.approx(
                 undirected_min_cut(net), rel=1e-9
             )
 
@@ -120,13 +124,26 @@ class TestReductionValueStructure:
     def test_general_cut_formula_always_matches(self):
         for seed in range(30):
             G = random_network(seed, n_max=8)
-            if G.m == 0:
+            if G.edge_count == 0:
                 continue
             for eps in (0.1, 0.4):
                 net = symmetrize(G, eps)
-                assert exact_undirected_max_flow(net) == pytest.approx(
+                assert undirected_max_flow_witness(net)[0] == pytest.approx(
                     symmetrized_cut_value(G, eps), rel=1e-9
                 )
+
+    def test_verify_bounds_hold_on_c1_corpus(self):
+        # Every cut has leaving >= F* and entering <= U - leaving, so the
+        # cut formula lies in [(2+2eps) F* + U, (2+eps) F* + (1+eps) U],
+        # the range `emaxflow verify` accepts.
+        for G in reduction_corpus():
+            fstar, _ = exact_max_flow(G)
+            total = G.total_capacity()
+            for eps in (0.1, 0.25, 0.4):
+                value = symmetrized_cut_value(G, eps)
+                tol = 1e-9 * max(1.0, value)
+                assert (2 + 2 * eps) * fstar + total <= value + tol
+                assert value <= (2 + eps) * fstar + (1 + eps) * total + tol
 
     def test_closed_form_holds_without_entering_arcs(self):
         # two-layer networks (every arc leaves s or enters t) never have an
@@ -138,7 +155,7 @@ class TestReductionValueStructure:
         for eps in (0.1, 0.25, 0.4):
             net = symmetrize(G, eps)
             expected = (2 + eps) * fstar + (1 + eps) * G.total_capacity()
-            assert exact_undirected_max_flow(net) == pytest.approx(expected, rel=1e-12)
+            assert undirected_max_flow_witness(net)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_closed_form_counterexample(self):
         # A 5-arc DAG on which the closed form overstates the undirected
@@ -150,7 +167,7 @@ class TestReductionValueStructure:
         assert fstar == 2.0
         for eps in (0.1, 0.25, 0.4):
             net = symmetrize(G, eps)
-            actual = exact_undirected_max_flow(net)
+            actual = undirected_max_flow_witness(net)[0]
             assert actual == pytest.approx(13 + 6 * eps, rel=1e-9)
             claimed = (2 + eps) * fstar + (1 + eps) * G.total_capacity()
             assert claimed == pytest.approx(13 + 11 * eps, rel=1e-12)
@@ -279,3 +296,35 @@ class TestSolveReport:
             "fail_count",
             "wall_time_ms",
         }
+
+
+def test_package_surface():
+    # The package exports what README documents, with the types and
+    # exceptions of those functions; anything else comes from a submodule.
+    import emaxflow
+
+    assert set(emaxflow.__all__) == {
+        "approx_max_flow",
+        "electrical_st_flow",
+        "exact_max_flow",
+        "parse_dimacs",
+        "recover_directed_flow",
+        "solve_bounded_flow",
+        "symmetrize",
+        "BoundedFlowResult",
+        "DirectedNetwork",
+        "ElectricalSolveResult",
+        "FlowAssignment",
+        "RecoveryResult",
+        "SolveReport",
+        "SymmetrizedNetwork",
+        "ConservationError",
+        "ConvergenceError",
+        "DimacsParseError",
+        "DisconnectedNetworkError",
+        "RecoveryError",
+        "RepairError",
+        "WidthViolationError",
+    }
+    for name in emaxflow.__all__:
+        assert getattr(emaxflow, name).__module__.startswith("emaxflow.")

@@ -8,19 +8,20 @@ from emaxflow import (
     DisconnectedNetworkError,
     FlowAssignment,
     RepairError,
-    assemble_laplacian,
     electrical_st_flow,
-    energy,
-    induced_flow,
-    repair_conservation,
-    solve_potentials,
     symmetrize,
 )
-from emaxflow.electrical import _repair_values, _st_context, default_solve_tolerance
+from emaxflow.electrical import (
+    _DENSE_LIMIT,
+    _repair_values,
+    _st_context,
+    default_solve_tolerance,
+)
 
 from corpus import nonempty_network, random_network
 from oracles import (
     dense_laplacian_reference,
+    laplacian_reference,
     min_energy_flow_dense,
     random_conserving_flow,
     repair_values_reference,
@@ -37,17 +38,30 @@ def two_parallel(r1, r2):
     return symmetrize(G, 0.5)
 
 
+def energy(vals, r):
+    return float(np.sum(r * vals * vals))
+
+
+def source_sink_vector(net, value):
+    b = np.zeros(net.vertex_count)
+    b[net.source] = value
+    b[net.sink] = -value
+    return b
+
+
 class TestAssembleLaplacian:
+    """The s-t Laplacian the solver assembles, on hand-computed cases."""
+
     def test_single_edge(self):
         G = DirectedNetwork(2, [(0, 1, 1.0)], 0, 1)
         net = symmetrize(G, 0.5)
         # give the two link edges huge resistance so only edge 0 matters
-        L = assemble_laplacian(net, np.array([2.0, 1e12, 1e12])).toarray()
+        L = _st_context(net).laplacian(np.array([2.0, 1e12, 1e12]))
         assert L == pytest.approx(np.array([[0.5, -0.5], [-0.5, 0.5]]), abs=1e-10)
 
     def test_parallel_edges_accumulate(self):
         net = two_parallel(1.0, 1.0)
-        L = assemble_laplacian(net, np.array([1.0, 1.0, 1e15])).toarray()
+        L = _st_context(net).laplacian(np.array([1.0, 1.0, 1e15]))
         assert L == pytest.approx(np.array([[2.0, -2.0], [-2.0, 2.0]]), abs=1e-12)
 
     def test_triangle_unit_resistances(self):
@@ -58,7 +72,7 @@ class TestAssembleLaplacian:
         r[0] = 1.0  # 0-1
         r[3] = 1.0  # 1-2
         r[6] = 1.0  # 0-2
-        L = assemble_laplacian(net, r).toarray()
+        L = _st_context(net).laplacian(r)
         assert np.diag(L) == pytest.approx([2, 2, 2], abs=1e-12)
         assert L[0, 1] == pytest.approx(-1, abs=1e-12)
         assert L[1, 2] == pytest.approx(-1, abs=1e-12)
@@ -67,102 +81,109 @@ class TestAssembleLaplacian:
     def test_row_sums_zero(self):
         net = symmetrize(random_network(3), 0.3)
         r = np.random.default_rng(0).uniform(0.1, 3.0, net.edge_count)
-        L = assemble_laplacian(net, r)
+        L = _st_context(net).laplacian(r)
         assert np.abs(L.sum(axis=1)).max() < 1e-9
-
-    def test_rejects_nonpositive_resistance(self):
-        net = single_edge_net()
-        with pytest.raises(ValueError):
-            assemble_laplacian(net, np.array([1.0, 0.0, 1.0]))
 
 
 class TestSolvePotentials:
+    """The potentials `electrical_st_flow` returns, and their residual."""
+
     def test_ohms_law_single_edge(self):
         net = single_edge_net()
-        L = assemble_laplacian(net, np.array([2.0, 1e14, 1e14]))
-        phi = solve_potentials(L, 0, 1, 1.0, 1e-10)
+        phi = electrical_st_flow(net, np.array([2.0, 1e14, 1e14]), 1.0, 1e-10).potentials
         assert phi[1] == 0.0
         assert phi[0] == pytest.approx(2.0, rel=1e-6)
 
     def test_two_parallel_resistors(self):
         # r = 1 and 3 in parallel: effective resistance 3/4, so F=4 drops 3.
         net = two_parallel(1.0, 3.0)
-        L = assemble_laplacian(net, np.array([1.0, 3.0, 1e14]))
-        phi = solve_potentials(L, 0, 1, 4.0, 1e-12)
+        phi = electrical_st_flow(net, np.array([1.0, 3.0, 1e14]), 4.0, 1e-12).potentials
         assert phi[0] - phi[1] == pytest.approx(3.0, rel=1e-9)
 
     def test_zero_value(self):
         net = single_edge_net()
-        L = assemble_laplacian(net, np.array([2.0, 2.0, 2.0]))
-        assert (solve_potentials(L, 0, 1, 0.0, 1e-10) == 0.0).all()
+        res = electrical_st_flow(net, np.array([2.0, 2.0, 2.0]), 0.0, 1e-10)
+        assert (res.potentials == 0.0).all()
 
     def test_disconnected_raises(self):
-        G = DirectedNetwork(4, [(0, 1, 1.0)], 0, 3)  # t=3 isolated
-        net = symmetrize(G, 0.2)
-        # links connect s-1 and 0-t... sink link is (0, 3), so kill it to
-        # leave t isolated in the support graph: impossible via resistances,
-        # so build a genuinely disconnected Laplacian instead.
-        import scipy.sparse as sp
-
-        L = sp.csr_matrix(
-            np.array(
-                [
-                    [1.0, -1.0, 0, 0],
-                    [-1.0, 1.0, 0, 0],
-                    [0, 0, 1.0, -1.0],
-                    [0, 0, -1.0, 1.0],
-                ]
-            )
-        )
+        # Each arc's three edges join s and t, so only a network without
+        # arcs leaves them apart.
+        net = symmetrize(DirectedNetwork(4, [], 0, 3), 0.2)
         with pytest.raises(DisconnectedNetworkError):
-            solve_potentials(L, 0, 3, 1.0, 1e-8)
+            electrical_st_flow(net, np.ones(0), 1.0, 1e-8)
 
     def test_residual_contract(self):
         net = symmetrize(nonempty_network(17, n_min=5), 0.25)
         rng = np.random.default_rng(1)
         r = rng.uniform(0.05, 10.0, net.edge_count)
-        L = assemble_laplacian(net, r)
-        b = np.zeros(net.vertex_count)
-        b[net.source] = 3.0
-        b[net.sink] = -3.0
+        L = laplacian_reference(net, r)
+        b = source_sink_vector(net, 3.0)
         for tol in (1e-4, 1e-8, 1e-12):
-            phi = solve_potentials(L, net.source, net.sink, 3.0, tol)
-            assert np.linalg.norm(L @ phi - b) <= tol * np.linalg.norm(b) * (1 + 1e-9)
+            res = electrical_st_flow(net, r, 3.0, tol)
+            assert res.potentials[net.sink] == 0.0
+            assert np.linalg.norm(L @ res.potentials - b) <= tol * np.linalg.norm(b) * (1 + 1e-9)
+            assert res.residual_norm <= tol * np.linalg.norm(b)
+
+
+class TestSparsePath:
+    """An s-t component above `_DENSE_LIMIT` runs the sparse Laplacian."""
+
+    def test_contract_conservation_and_value(self):
+        n = 700
+        rng = np.random.default_rng(0)
+        arcs = [(0, i, 1 + i % 7) for i in range(1, n - 1)]
+        arcs += [(i, n - 1, 1 + i % 5) for i in range(1, n - 1)]
+        for _ in range(800):
+            u, v = rng.choice(n, 2, replace=False)
+            arcs.append((int(u), int(v), int(rng.integers(1, 10))))
+        net = symmetrize(DirectedNetwork(n, arcs, 0, n - 1), 0.25)
+        ctx = _st_context(net)
+        assert ctx.connected and ctx.n_c == n > _DENSE_LIMIT and not ctx.dense
+        r = rng.uniform(0.05, 10.0, net.edge_count)
+        tol = 1e-8
+        res = electrical_st_flow(net, r, 3.0, tol)
+        b = source_sink_vector(net, 3.0)
+        L = laplacian_reference(net, r)
+        assert np.linalg.norm(L @ res.potentials - b) <= tol * np.linalg.norm(b) * (1 + 1e-9)
+        assert res.flow.interior_residual_max() <= 1e-12
+        assert res.flow.source_outflow() == pytest.approx(3.0, abs=1e-12)
 
 
 class TestInducedFlow:
+    """The flow is Ohm's law over the returned potentials."""
+
     def test_single_edge(self):
         net = single_edge_net()
-        r = np.array([2.0, 1e14, 1e14])
-        f = induced_flow(np.array([2.0, 0.0]), net, r)
-        assert f.values[0] == pytest.approx(1.0)
+        res = electrical_st_flow(net, np.array([2.0, 1e14, 1e14]), 1.0, 1e-12)
+        assert res.flow.values[0] == pytest.approx(1.0)
 
     def test_parallel_split(self):
         net = two_parallel(1.0, 3.0)
         r = np.array([1.0, 3.0, 1e14])
-        f = induced_flow(np.array([3.0, 0.0]), net, r)
-        assert f.values[0] == pytest.approx(3.0)
-        assert f.values[1] == pytest.approx(1.0)
+        res = electrical_st_flow(net, r, 4.0, 1e-12)
+        assert res.flow.values[0] == pytest.approx(3.0)
+        assert res.flow.values[1] == pytest.approx(1.0)
+        drop = res.potentials[0] - res.potentials[1]
+        assert res.flow.values[:2] == pytest.approx(drop / r[:2], rel=1e-9)
 
     def test_constant_potential_gives_zero(self):
         net = symmetrize(random_network(2), 0.3)
-        r = np.ones(net.edge_count)
-        f = induced_flow(np.full(net.vertex_count, 7.5), net, r)
-        assert (f.values == 0.0).all()
+        res = electrical_st_flow(net, np.ones(net.edge_count), 0.0, 1e-10)
+        assert (res.potentials == res.potentials[0]).all()
+        assert (res.flow.values == 0.0).all()
 
 
 class TestRepairConservation:
     def test_exact_flow_unchanged(self):
         net = single_edge_net()
-        f = FlowAssignment(net, [1.0, 1.25, 1.25])
-        fixed = repair_conservation(f, 3.5)
-        assert fixed.values == pytest.approx(f.values, abs=1e-12)
+        vals = np.array([1.0, 1.25, 1.25])
+        fixed = _repair_values(net, vals, 3.5)
+        assert fixed == pytest.approx(vals, abs=1e-12)
 
     def test_single_edge_value_snap(self):
         G = DirectedNetwork(2, [(0, 1, 1.0)], 0, 1)
         net = symmetrize(G, 0.5)
-        f = FlowAssignment(net, [0.999999, 0.0, 0.0])
-        fixed = repair_conservation(f, 1.0)
+        fixed = FlowAssignment(net, _repair_values(net, np.array([0.999999, 0.0, 0.0]), 1.0))
         assert fixed.source_outflow() == pytest.approx(1.0, abs=1e-15)
 
     def test_path_rebalance(self):
@@ -175,7 +196,7 @@ class TestRepairConservation:
         delta = 1e-5
         perturbed = exact.copy()
         perturbed[0] += delta
-        fixed = repair_conservation(FlowAssignment(net, perturbed), 1.0)
+        fixed = FlowAssignment(net, _repair_values(net, perturbed, 1.0))
         assert fixed.interior_residual_max() <= 1e-12
         assert fixed.source_outflow() == pytest.approx(1.0, abs=1e-12)
 
@@ -184,8 +205,8 @@ class TestRepairConservation:
         rng = np.random.default_rng(3)
         r = rng.uniform(0.2, 4.0, net.edge_count)
         _, fvals = min_energy_flow_dense(net, r, 0.5)
-        noisy = FlowAssignment(net, fvals + rng.normal(0, 1e-4, net.edge_count))
-        fixed = repair_conservation(noisy, 0.5)
+        noisy = fvals + rng.normal(0, 1e-4, net.edge_count)
+        fixed = FlowAssignment(net, _repair_values(net, noisy, 0.5))
         assert fixed.interior_residual_max() <= 1e-12
         assert fixed.source_outflow() == pytest.approx(0.5, abs=1e-12)
 
@@ -195,10 +216,10 @@ class TestRepairConservation:
         r = rng.uniform(0.2, 4.0, net.edge_count)
         _, fvals = min_energy_flow_dense(net, r, 2.0)
         noise = rng.normal(0, 1e-7, net.edge_count)
-        noisy = FlowAssignment(net, fvals + noise)
-        fixed = repair_conservation(noisy, 2.0)
-        correction = float(np.abs(fixed.values - noisy.values).max())
-        bound = 2 * correction * float(np.abs(fixed.values).max()) * float(r.max())
+        noisy = fvals + noise
+        fixed = _repair_values(net, noisy, 2.0)
+        correction = float(np.abs(fixed - noisy).max())
+        bound = 2 * correction * float(np.abs(fixed).max()) * float(r.max())
         shift = abs(energy(fixed, r) - energy(noisy, r))
         assert shift <= bound + 1e-12
 
@@ -255,25 +276,27 @@ class TestDenseLaplacianMatchesReference:
 
 
 class TestEnergy:
+    """The energy `electrical_st_flow` reports, against hand values."""
+
     def test_zero(self):
         net = single_edge_net()
-        assert energy(FlowAssignment.zeros(net), np.ones(3)) == 0.0
+        assert electrical_st_flow(net, np.ones(3), 0.0, 1e-10).energy == 0.0
 
     def test_single_edge(self):
         net = single_edge_net()
-        f = FlowAssignment(net, [1.0, 0.0, 0.0])
-        assert energy(f, np.array([2.0, 1.0, 1.0])) == 2.0
+        res = electrical_st_flow(net, np.array([2.0, 1e14, 1e14]), 1.0, 1e-12)
+        assert res.energy == pytest.approx(2.0, rel=1e-9)
 
     def test_parallel_minimum(self):
         # r=(1,3), f=(3,1) has energy 12, the minimum for value 4:
         # minimizing x^2 + 3(4-x)^2 gives x = 3.
         net = two_parallel(1.0, 3.0)
         r = np.array([1.0, 3.0, 1e14])
-        f = FlowAssignment(net, [3.0, 1.0, 0.0])
-        assert energy(f, r) == pytest.approx(12.0)
+        res = electrical_st_flow(net, r, 4.0, 1e-12)
+        assert res.energy == pytest.approx(12.0)
         xs = np.linspace(0, 4, 4001)
         grid_min = np.min(xs**2 + 3 * (4 - xs) ** 2)
-        assert energy(f, r) == pytest.approx(grid_min, abs=1e-5)
+        assert res.energy == pytest.approx(grid_min, abs=1e-5)
 
 
 class TestEndToEndSolve:
@@ -282,7 +305,7 @@ class TestEndToEndSolve:
         rng = np.random.default_rng(5)
         r = rng.uniform(0.2, 4.0, net.edge_count)
         res = electrical_st_flow(net, r, 1.5, 1e-10)
-        assert res.energy == pytest.approx(energy(res.flow, r), rel=1e-12)
+        assert res.energy == pytest.approx(energy(res.flow.values, r), rel=1e-12)
         assert res.flow.interior_residual_max() <= 1e-12
         assert res.flow.source_outflow() == pytest.approx(1.5, abs=1e-10)
 
@@ -293,7 +316,7 @@ class TestEndToEndSolve:
         checked = 0
         for seed in range(40):
             G = random_network(seed, n_max=8)
-            if G.m == 0:
+            if G.edge_count == 0:
                 continue
             net = symmetrize(G, 0.25)
             r = rng.uniform(0.05, 5.0, net.edge_count)
@@ -316,8 +339,7 @@ class TestEndToEndSolve:
             z = rng.normal(0, 1, net.edge_count)
             # project onto the cycle space (kernel of the incidence matrix)
             c = z - np.linalg.pinv(B) @ (B @ z)
-            perturbed = FlowAssignment(net, res.flow.values + c)
-            assert energy(perturbed, r) >= res.energy - 1e-9
+            assert energy(res.flow.values + c, r) >= res.energy - 1e-9
 
     def test_deterministic(self):
         net = symmetrize(nonempty_network(43, n_min=4), 0.2)

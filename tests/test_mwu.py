@@ -6,19 +6,25 @@ import pytest
 from emaxflow import (
     DirectedNetwork,
     FlowAssignment,
+    WidthViolationError,
+    exact_max_flow,
+    solve_bounded_flow,
+    symmetrize,
+)
+from emaxflow.driver import undirected_max_flow_witness
+from emaxflow.mwu import (
     OracleParams,
     Verdict,
     WeightVector,
-    WidthViolationError,
+    bounded_flow_attempts,
+    check_bounded_flow,
     compute_resistances,
     congestion_of,
     fail_threshold,
+    iteration_schedule,
     oracle_step,
-    solve_bounded_flow,
-    symmetrize,
     update_weights,
 )
-from emaxflow.mwu import bounded_flow_attempts, check_bounded_flow, iteration_schedule
 
 from corpus import nonempty_network, random_sized_network
 from oracles import min_energy_flow_dense
@@ -33,9 +39,6 @@ class TestOracleParams:
         p = OracleParams(epsilon=0.3, arc_count=17)
         assert p.width == math.sqrt(27 * 17 / 0.3)
         assert p.width**2 * p.epsilon == pytest.approx(27 * 17, rel=1e-12)
-
-    def test_electrical_accuracy(self):
-        assert OracleParams(0.2, 5).electrical_accuracy == pytest.approx(0.02)
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
@@ -182,13 +185,14 @@ class TestUpdateWeights:
         assert w2.values[0] == pytest.approx(1.3, rel=1e-12)
 
     def test_worked_example(self):
-        # eps=0.5, width=sqrt(54), congestion 7/6 on unit weights
+        # eps=0.5, congestion 7/6 on unit weights: the step normalizer is
+        # max(1 + eps, 7/6) = 1.5, well below the width sqrt(54)
         p = OracleParams(0.5, 1)
         w = WeightVector(np.ones(3))
         w2 = update_weights(w, np.full(3, 7 / 6), p)
-        expected = 1 + 0.5 * (7 / 6) / math.sqrt(54)
+        expected = 1 + 0.5 * (7 / 6) / 1.5
         assert w2.values == pytest.approx([expected] * 3, rel=1e-12)
-        assert expected == pytest.approx(1.0793816, abs=1e-6)
+        assert expected == pytest.approx(1.3888889, abs=1e-6)
 
     def test_width_violation_raises(self):
         p = OracleParams(0.5, 1)
@@ -226,8 +230,6 @@ class TestSolveBoundedFlow:
             G = nonempty_network(seed)
             eps = 0.25
             net = symmetrize(G, eps)
-            from emaxflow import exact_max_flow
-
             fstar, _ = exact_max_flow(G)
             if fstar <= 0:
                 continue
@@ -243,8 +245,6 @@ class TestSolveBoundedFlow:
         G = nonempty_network(13)
         eps = 0.25
         net = symmetrize(G, eps)
-        from emaxflow import exact_max_flow
-
         fstar, _ = exact_max_flow(G)
         if fstar <= 0:
             pytest.skip("zero max flow instance")
@@ -300,8 +300,6 @@ class TestOracleInequalities:
 
     def _run(self, seed, eps):
         G = nonempty_network(seed)
-        from emaxflow import exact_max_flow
-
         fstar, _ = exact_max_flow(G)
         if fstar <= 0:
             return None
@@ -316,9 +314,7 @@ class TestOracleInequalities:
             if out.verdict is Verdict.FAIL:
                 break
             records.append((i, w, out))
-            from emaxflow.mwu import _step_weights
-
-            w = _step_weights(w, out.congestion, params)
+            w = update_weights(w, out.congestion, params)
         return net, params, records
 
     @pytest.mark.parametrize("seed,eps", [(3, 0.1), (7, 0.25), (15, 0.4)])
@@ -354,12 +350,8 @@ class TestOracleInequalities:
     def test_energy_at_most_exact_flow_energy(self):
         # solver energy is within (1 + eps/10) of any conserving flow's
         # energy, in particular the scaled exact undirected max flow
-        from emaxflow import undirected_max_flow_witness
-
         eps = 0.25
         G = nonempty_network(20)
-        from emaxflow import exact_max_flow
-
         fstar, _ = exact_max_flow(G)
         if fstar <= 0:
             pytest.skip("zero max flow")

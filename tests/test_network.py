@@ -10,13 +10,10 @@ from emaxflow import (
     DimacsParseError,
     DirectedNetwork,
     FlowAssignment,
-    Provenance,
-    flow_value,
     parse_dimacs,
     symmetrize,
-    write_dimacs,
 )
-from emaxflow.network import ArcDropReason
+from emaxflow.network import ArcDropReason, Provenance, flow_value, write_dimacs
 
 from corpus import random_network
 
@@ -32,17 +29,17 @@ class TestParseDimacs:
 
     def test_reads_file_objects(self):
         net = parse_dimacs(io.StringIO(SMALLEST))
-        assert net.m == 1
+        assert net.edge_count == 1
 
     def test_self_loop_dropped_with_record(self):
         net = parse_dimacs("p max 2 1\nn 1 s\nn 2 t\na 1 1 3\n")
-        assert net.m == 0
+        assert net.edge_count == 0
         assert len(net.dropped) == 1
         assert net.dropped[0].reason is ArcDropReason.SELF_LOOP
 
     def test_zero_capacity_dropped_with_record(self):
         net = parse_dimacs("p max 2 2\nn 1 s\nn 2 t\na 1 2 0\na 1 2 4\n")
-        assert net.m == 1
+        assert net.edge_count == 1
         assert net.dropped[0].reason is ArcDropReason.ZERO_CAPACITY
 
     def test_vertex_out_of_range_names_line(self):
@@ -68,7 +65,7 @@ class TestParseDimacs:
 
     def test_comments_and_blank_lines_ignored(self):
         net = parse_dimacs("c hello\n\n" + SMALLEST + "c bye\n")
-        assert net.m == 1
+        assert net.edge_count == 1
 
     def test_fractional_capacity_parses(self):
         net = parse_dimacs("p max 2 1\nn 1 s\nn 2 t\na 1 2 2.5\n")
@@ -101,21 +98,22 @@ class TestSymmetrize:
     def test_single_arc_example(self):
         G = DirectedNetwork(2, [(0, 1, 1.0)], 0, 1)
         net = symmetrize(G, 0.5)
-        assert [(e.tail, e.head, e.capacity, e.provenance) for e in net.edges] == [
-            (0, 1, 1.0, Provenance.ORIGINAL),
-            (0, 1, 1.5, Provenance.SOURCE_LINK),
-            (0, 1, 1.5, Provenance.SINK_LINK),
+        assert net.tails.tolist() == [0, 0, 0]
+        assert net.heads.tolist() == [1, 1, 1]
+        assert net.capacities.tolist() == [1.0, 1.5, 1.5]
+        assert net.provenance.tolist() == [
+            Provenance.ORIGINAL,
+            Provenance.SOURCE_LINK,
+            Provenance.SINK_LINK,
         ]
 
     def test_interior_arc(self):
         # arc (u, v) with u != s, v != t picks up links to s and t
         G = DirectedNetwork(4, [(1, 2, 2.0)], 0, 3)
         net = symmetrize(G, 0.25)
-        assert [(e.tail, e.head, e.capacity) for e in net.edges] == [
-            (1, 2, 2.0),
-            (0, 2, 2.5),
-            (1, 3, 2.5),
-        ]
+        assert net.tails.tolist() == [1, 0, 1]
+        assert net.heads.tolist() == [2, 2, 3]
+        assert net.capacities.tolist() == [2.0, 2.5, 2.5]
 
     def test_empty_network(self):
         G = DirectedNetwork(3, [], 0, 2)
@@ -199,7 +197,7 @@ def test_signed_residuals_sum_to_zero(seed, data):
 def test_congestion_uses_parent_capacity():
     G = DirectedNetwork(3, [(0, 1, 2.0), (1, 2, 4.0)], 0, 2)
     net = symmetrize(G, 0.25)
-    from emaxflow import congestion_of
+    from emaxflow.mwu import congestion_of
 
     f = FlowAssignment(net, [0.5, 1.0, 1.0, 2.0, 2.0, 2.0])
     cong = congestion_of(f)

@@ -6,16 +6,18 @@ from hypothesis import strategies as st
 from emaxflow import (
     DirectedNetwork,
     FlowAssignment,
-    Provenance,
     RecoveryError,
-    cycle_cancel,
-    extract_directed,
     recover_directed_flow,
     solve_bounded_flow,
-    subtract_and_halve,
     symmetrize,
 )
-from emaxflow.recovery import link_routing_values
+from emaxflow.network import Provenance
+from emaxflow.recovery import (
+    cycle_cancel,
+    extract_directed,
+    link_routing_values,
+    subtract_and_halve,
+)
 
 from corpus import nonempty_network
 from oracles import cycle_cancel_reference, is_acyclic_support, random_conserving_flow
