@@ -4,16 +4,21 @@
 solver on the symmetrized network for value 2F + (1+eps')*total capacity and
 recovering a feasible directed flow from each success.  Probing narrows the
 bracket [best recovered value, certified-infeasible probe] until the relative
-gap closes.  Only an energy failure of the bounded-flow solver certifies a
-probe value infeasible.  A probe that exhausts its oracle budget is resumed
-once from its own state; if it is still unknown it caps where the search
-looks next, without narrowing the certified bracket.
+gap closes.  Two things certify a probe value infeasible: an energy failure
+of the bounded-flow solver, and a cut.  Before the search one electrical
+solve at unit weights gives potentials whose best threshold cut bounds F*
+from above; recovery would turn a success at F into a feasible flow worth
+about F/(1+eps'), so a probe above (1+eps') times that cut fails without an
+oracle call.  A probe that exhausts its oracle budget is resumed once from
+its own state; if it is still unknown it caps where the search looks next,
+without narrowing the certified bracket.
 `exact_max_flow` is a plain blocking-flow (Dinic) implementation used for
 upper bounds in reports and for verification.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from collections import deque
@@ -24,7 +29,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order
 
-from .mwu import bounded_flow_attempts
+from .electrical import default_solve_tolerance, electrical_st_flow
+from .mwu import WeightVector, bounded_flow_attempts, compute_resistances
 from .network import DirectedNetwork, FlowAssignment, SymmetrizedNetwork, symmetrize
 from .recovery import RecoveryError, RecoveryResult, recover_directed_flow
 
@@ -33,6 +39,11 @@ from .recovery import RecoveryError, RecoveryResult, recover_directed_flow
 _BISECTION_FLOOR = 2.0**-20
 
 _MAX_PROBES = 64
+
+#: Relative slack on the cut rule.  It covers recovery's verification
+#: tolerance, 1e-9 of the symmetrized target 2F + (1+eps')U, which can be
+#: hundreds of times the probe value F, and the rounding of the cut's sum.
+_CUT_MARGIN = 1e-6
 
 
 class _Dinic:
@@ -183,6 +194,7 @@ class SolveReport:
     mwu_iterations_total: int
     fail_count: int
     wall_time_ms: float
+    upper_bound: Optional[float] = None
     trace: tuple = field(default=(), repr=False, compare=False)
 
     def to_dict(self) -> dict:
@@ -199,6 +211,7 @@ class SolveReport:
             "mwu_iterations_total": self.mwu_iterations_total,
             "fail_count": self.fail_count,
             "wall_time_ms": _round12(self.wall_time_ms),
+            "upper_bound": _round12(self.upper_bound),
         }
 
     @classmethod
@@ -216,6 +229,7 @@ class SolveReport:
             mwu_iterations_total=d["mwu_iterations_total"],
             fail_count=d["fail_count"],
             wall_time_ms=d["wall_time_ms"],
+            upper_bound=d.get("upper_bound"),
         )
 
 
@@ -245,6 +259,36 @@ def _useful_arcs(network: DirectedNetwork) -> np.ndarray:
     return cand & from_s[tails] & to_t[heads]
 
 
+def _threshold_cut(network: DirectedNetwork, phi: np.ndarray) -> float:
+    """Least capacity leaving a level set ``{v : phi(v) > theta}`` that holds
+    the source and not the sink; inf when no threshold separates them.
+
+    Every such set is an s-t cut, so the result is at least the max flow.
+    A running sum over the levels picks the best set, and its capacity is
+    then summed afresh from its arcs, so no cancellation rounds the bound.
+    The levels are ordered with ``sorted`` and summed with
+    ``itertools.accumulate``: a first NumPy sort or cumsum faults in code
+    pages that show in the solve's peak memory.  O(n log n + m).
+    """
+    p = phi.tolist()
+    levels = sorted(set(p), reverse=True)
+    level_of = {x: i for i, x in enumerate(levels)}
+    # Set i holds the vertices of levels 0..i; it is an s-t cut for
+    # lo <= i < hi.
+    lo, hi = level_of[p[network.source]], level_of[p[network.sink]]
+    if lo >= hi:
+        return math.inf
+    rank = np.array([level_of[x] for x in p], dtype=np.int64)
+    ru, rv = rank[network.tails], rank[network.heads]
+    # Arc (u, v) leaves sets ru..rv-1.
+    down = ru < rv
+    caps = network.capacities[down]
+    diff = np.bincount(ru[down], caps, len(levels)) - np.bincount(rv[down], caps, len(levels))
+    cuts = list(itertools.accumulate(diff.tolist()))[lo:hi]
+    best = lo + cuts.index(min(cuts))
+    return float(network.capacities[(ru <= best) & (rv > best)].sum())
+
+
 def approx_max_flow(
     network: DirectedNetwork,
     epsilon: float,
@@ -268,6 +312,14 @@ def approx_max_flow(
     stops once its bracket is within a (1 + eps'/2)(1 + eps') factor.  The
     returned flow is always feasible (capacities and conservation hold
     exactly) regardless of approximation quality.
+
+    A probe value is certified infeasible in one of two ways: the
+    bounded-flow solver fails on energy, or the value exceeds (1+eps') times
+    the certified upper bound, the smaller of the source/sink cut and the
+    best threshold cut over unit-weight electrical potentials
+    (`_threshold_cut`).  A success at F would recover a feasible flow worth
+    about F/(1+eps'), more than any cut carries, so such a probe is decided
+    without an oracle call.  ``report.upper_bound`` holds that bound.
     """
     epsilon = float(epsilon)
     if not (0.0 < epsilon < 0.5):
@@ -309,9 +361,20 @@ def approx_max_flow(
     fail_count = 0
 
     f_hi = min(pruned.out_capacity(pruned.source), pruned.in_capacity(pruned.sink))
+    upper = f_hi
     if f_hi > 0.0:
         net = symmetrize(pruned, eps_i)
         baseline = (1.0 + eps_i) * pruned.total_capacity()
+        # Unit weights and the first probe's target: the very solve the
+        # first probe's first oracle call makes.
+        phi = electrical_st_flow(
+            net,
+            compute_resistances(net, WeightVector.ones(net.edge_count), eps_i),
+            2.0 * (0.75 * f_hi) + baseline,
+            default_solve_tolerance(eps_i, net.edge_count),
+        ).potentials
+        upper = min(f_hi, _threshold_cut(pruned, phi))
+        cut_limit = (1.0 + eps_i) * (1.0 + _CUT_MARGIN) * upper
         floor = f_hi * _BISECTION_FLOOR
         f_lo = 0.0
         # Recovery returns at least probe/(1+eps'), so the certified lower
@@ -329,6 +392,11 @@ def approx_max_flow(
             # the certified bound most of the way to the top, and a failure
             # still shrinks the bracket by a quarter.
             probe_value = 0.25 * f_lo + 0.75 * top
+            if probe_value > cut_limit:
+                # Certified by the cut, without an oracle call.
+                fail_count += 1
+                f_hi = probe_value
+                continue
             attempts = bounded_flow_attempts(
                 net,
                 2.0 * probe_value + baseline,
@@ -387,6 +455,7 @@ def approx_max_flow(
         mwu_iterations_total=oracle_calls,
         fail_count=fail_count,
         wall_time_ms=(time.perf_counter() - t0) * 1000.0,
+        upper_bound=upper,
         trace=tuple(trace_records),
     )
     return best, report

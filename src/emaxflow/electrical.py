@@ -138,7 +138,7 @@ class ElectricalSolveResult:
 
 
 # Component sizes up to this use a dense Laplacian; beyond it a prebuilt
-# sparse assembly pattern.
+# CSR pattern.
 _DENSE_LIMIT = 600
 
 
@@ -149,6 +149,8 @@ class _StSolveContext:
     are always strictly positive), so the component and the scatter pattern
     can be built once and reused across every oracle call.  The component
     is the vertex set of the BFS tree that `_repair_values` routes along.
+    Both paths assemble with one `np.bincount` into precomputed slots: a
+    flat dense index, or the CSR slot each term sums into.
     """
 
     def __init__(self, net: SymmetrizedNetwork):
@@ -171,23 +173,30 @@ class _StSolveContext:
         self.dense = self.n_c <= _DENSE_LIMIT
         rows = np.concatenate([self.kt, self.kh, self.kt, self.kh])
         cols = np.concatenate([self.kt, self.kh, self.kh, self.kt])
+        flat = rows * self.n_c + cols
         if self.dense:
-            self._flat = rows * self.n_c + cols
+            self._flat = flat
         else:
-            self._rows, self._cols = rows, cols
+            pattern = sp.coo_matrix(
+                (np.ones(len(rows)), (rows, cols)), shape=(self.n_c, self.n_c)
+            ).tocsr()
+            self._indptr, self._indices = pattern.indptr, pattern.indices
+            # Rows ascend and each row's columns are sorted, so the flat
+            # indices of the stored entries ascend too.
+            row_of = np.repeat(np.arange(self.n_c), np.diff(self._indptr))
+            self._slot = np.searchsorted(row_of * self.n_c + self._indices, flat)
 
     def laplacian(self, r: np.ndarray):
         g = 1.0 / r[self.keep]
         data = np.concatenate([g, g, -g, -g])
+        n = self.n_c
         if self.dense:
             # bincount adds the weights in input order, so every entry sums
             # the same terms in the same order as np.add.at over the four
             # blocks in turn would.
-            n = self.n_c
             return np.bincount(self._flat, data, n * n).reshape(n, n)
-        return sp.coo_matrix(
-            (data, (self._rows, self._cols)), shape=(self.n_c, self.n_c)
-        ).tocsr()
+        summed = np.bincount(self._slot, data, len(self._indices))
+        return sp.csr_matrix((summed, self._indices, self._indptr), shape=(n, n))
 
 
 def _st_context(net: SymmetrizedNetwork) -> _StSolveContext:

@@ -51,6 +51,27 @@ def random_sized_network(seed: int, n: int, m: int, cap_max: int = 100) -> Direc
     return DirectedNetwork(n, arcs, source=0, sink=n - 1)
 
 
+def grid_network(seed: int, rows: int, cols: int, cap_max: int = 100) -> DirectedNetwork:
+    """Directed grid: row arcs point forward, column arcs go both ways, the
+    source feeds the first column and the last column feeds the sink at
+    capacity ``cap_max``; grid capacities in [1, cap_max]."""
+    rng = random.Random(seed)
+    s, t = 0, rows * cols + 1
+
+    def cell(i: int, j: int) -> int:
+        return 1 + i * cols + j
+
+    arcs = []
+    for i in range(rows):
+        arcs += [(s, cell(i, 0), cap_max), (cell(i, cols - 1), t, cap_max)]
+        arcs += [(cell(i, j), cell(i, j + 1), rng.randint(1, cap_max)) for j in range(cols - 1)]
+    for i in range(rows - 1):
+        for j in range(cols):
+            arcs.append((cell(i, j), cell(i + 1, j), rng.randint(1, cap_max)))
+            arcs.append((cell(i + 1, j), cell(i, j), rng.randint(1, cap_max)))
+    return DirectedNetwork(t + 1, arcs, source=s, sink=t)
+
+
 def reduction_corpus(count: int = 200):
     """The n<=12, m<=30, caps<=5 corpus used by several acceptance checks."""
     return [random_network(seed) for seed in range(count)]

@@ -75,6 +75,25 @@ def symmetrized_cut_value(network: DirectedNetwork, epsilon: float) -> float:
     return best + (1 + epsilon) * network.total_capacity()
 
 
+def threshold_cut_reference(network: DirectedNetwork, phi) -> float:
+    """Least capacity leaving a set ``{v : phi(v) > theta}`` that holds the
+    source and not the sink, by trying every level of ``phi`` as theta and
+    summing each set's leaving arcs; inf when no level separates them."""
+    phi = [float(x) for x in phi]
+    best = np.inf
+    for theta in set(phi):
+        side = [x > theta for x in phi]
+        if not side[network.source] or side[network.sink]:
+            continue
+        cut = sum(
+            float(c)
+            for u, v, c in zip(network.tails, network.heads, network.capacities)
+            if side[int(u)] and not side[int(v)]
+        )
+        best = min(best, cut)
+    return float(best)
+
+
 def brute_force_max_flow(network: DirectedNetwork) -> float:
     """Max flow by exhaustive enumeration of integral flows.
 

@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import emaxflow.driver
 from emaxflow import (
     DirectedNetwork,
     SolveReport,
@@ -10,9 +13,10 @@ from emaxflow import (
     exact_max_flow,
     symmetrize,
 )
-from emaxflow.driver import undirected_max_flow_witness
+from emaxflow.driver import _CUT_MARGIN, _threshold_cut, undirected_max_flow_witness
 
 from corpus import (
+    grid_network,
     nonempty_network,
     random_network,
     random_sized_network,
@@ -22,6 +26,7 @@ from oracles import (
     brute_force_max_flow,
     directed_min_cut,
     symmetrized_cut_value,
+    threshold_cut_reference,
     undirected_min_cut,
 )
 
@@ -174,6 +179,86 @@ class TestReductionValueStructure:
             assert actual < claimed - 1e-6
 
 
+# Potentials with many ties (small integers) as well as spread-out floats.
+_potential = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestThresholdCut:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 199), data=st.data())
+    def test_bounds_max_flow(self, seed, data):
+        G = random_network(seed)  # the reduction corpus
+        phi = data.draw(st.lists(_potential, min_size=G.vertex_count, max_size=G.vertex_count))
+        assert _threshold_cut(G, np.array(phi)) >= exact_max_flow(G)[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 10_000), data=st.data())
+    def test_matches_brute_force_over_levels(self, seed, data):
+        G = random_network(seed, n_max=8, m_max=20)
+        phi = data.draw(st.lists(_potential, min_size=G.vertex_count, max_size=G.vertex_count))
+        got = _threshold_cut(G, np.array(phi))
+        want = threshold_cut_reference(G, phi)
+        assert got == want
+
+
+class TestCutCertifiedProbes:
+    @pytest.mark.parametrize("seed, rows, cols", [(0, 3, 4), (3, 3, 4), (2, 4, 5)])
+    def test_no_probe_started_above_the_line(self, monkeypatch, seed, rows, cols):
+        # On these grids the unit-weight threshold cut is a minimum cut, so
+        # no probe above (1+eps')(1+delta) F* may reach the oracle.
+        G = grid_network(seed, rows, cols)
+        eps = 0.25
+        eps_i = eps / 4
+        started = []
+        attempts = emaxflow.driver.bounded_flow_attempts
+
+        def spy(net, target, *args, **kwargs):
+            baseline = (1.0 + eps_i) * float(net.arc_capacities.sum())
+            started.append((target - baseline) / 2.0)
+            return attempts(net, target, *args, **kwargs)
+
+        monkeypatch.setattr(emaxflow.driver, "bounded_flow_attempts", spy)
+        rec, report = approx_max_flow(G, eps, exact_check=True)
+        fstar = report.exact_value
+        assert report.upper_bound == fstar
+        assert started and len(started) < report.search_iterations
+        assert max(started) <= (1.0 + eps_i) * (1.0 + _CUT_MARGIN) * fstar
+        assert rec.value >= (1 - eps) * fstar
+
+    def test_cut_changes_only_the_call_count(self, monkeypatch):
+        # Some probe between F* and (1+eps') F* succeeds on this grid, so
+        # the rule must leave such probes to the oracle.
+        G = grid_network(3, 3, 3)
+        rec, report = approx_max_flow(G, 0.25)
+        monkeypatch.setattr(emaxflow.driver, "_threshold_cut", lambda net, phi: np.inf)
+        rec0, report0 = approx_max_flow(G, 0.25)
+        assert np.array_equal(rec.directed_flow.values, rec0.directed_flow.values)
+        assert report.search_iterations == report0.search_iterations
+        assert report.fail_count == report0.fail_count
+        assert report.oracle_calls < report0.oracle_calls
+
+    def test_c6_instance_6_skips_its_hopeless_probes(self):
+        # Four of its six probes lie above (1+eps') F*; they took 8,699 of
+        # its 9,335 oracle calls before the cut decided them.
+        G = random_sized_network(1006, 10, 22)
+        rec, report = approx_max_flow(G, 0.1)
+        assert rec.value == pytest.approx(4.974609374999996, rel=1e-12)
+        assert report.search_iterations == 6 and report.fail_count == 4
+        assert report.oracle_calls < 1_000
+
+    def test_upper_bound_is_certified(self):
+        for seed in range(12):
+            G = random_network(seed)
+            rec, report = approx_max_flow(G, 0.25, exact_check=True)
+            assert report.exact_value <= report.upper_bound
+            assert rec.value <= report.upper_bound
+            if report.exact_value == 0.0:
+                assert report.upper_bound == 0.0
+
+
 class TestApproxMaxFlow:
     def test_single_arc(self):
         G = DirectedNetwork(2, [(0, 1, 1.0)], 0, 1)
@@ -295,7 +380,15 @@ class TestSolveReport:
             "mwu_iterations_total",
             "fail_count",
             "wall_time_ms",
+            "upper_bound",
         }
+
+    def test_reports_without_upper_bound_load(self):
+        _, report = approx_max_flow(diamond(), 0.25, exact_check=True)
+        d = report.to_dict()
+        assert d["upper_bound"] == 5.0
+        del d["upper_bound"]
+        assert SolveReport.from_dict(d).upper_bound is None
 
 
 def test_package_surface():

@@ -128,7 +128,8 @@ class TestSolvePotentials:
 class TestSparsePath:
     """An s-t component above `_DENSE_LIMIT` runs the sparse Laplacian."""
 
-    def test_contract_conservation_and_value(self):
+    @staticmethod
+    def network_and_resistances():
         n = 700
         rng = np.random.default_rng(0)
         arcs = [(0, i, 1 + i % 7) for i in range(1, n - 1)]
@@ -139,7 +140,30 @@ class TestSparsePath:
         net = symmetrize(DirectedNetwork(n, arcs, 0, n - 1), 0.25)
         ctx = _st_context(net)
         assert ctx.connected and ctx.n_c == n > _DENSE_LIMIT and not ctx.dense
-        r = rng.uniform(0.05, 10.0, net.edge_count)
+        return net, rng.uniform(0.05, 10.0, net.edge_count)
+
+    def test_laplacian_within_summation_order_bound(self):
+        # The CSR slots and the reference sum each entry's terms in
+        # different orders.  An entry sums k terms of one sign, so either
+        # order is within (k - 1) roundoff units of the exact sum, and k is
+        # at most the largest vertex degree.
+        net, r = self.network_and_resistances()
+        ctx = _st_context(net)
+        L = ctx.laplacian(r)
+        ref = laplacian_reference(net, r)[ctx.idx][:, ctx.idx].tocsr()
+        ref.sort_indices()
+        assert L.has_sorted_indices
+        assert np.array_equal(L.indptr, ref.indptr)
+        assert np.array_equal(L.indices, ref.indices)
+        loops = net.tails == net.heads
+        degree = np.bincount(
+            np.concatenate([net.tails[~loops], net.heads[~loops]]), minlength=net.vertex_count
+        )
+        rtol = 2 * int(degree.max()) * np.finfo(np.float64).eps
+        assert (np.abs(L.data - ref.data) <= rtol * np.abs(ref.data)).all()
+
+    def test_contract_conservation_and_value(self):
+        net, r = self.network_and_resistances()
         tol = 1e-8
         res = electrical_st_flow(net, r, 3.0, tol)
         b = source_sink_vector(net, 3.0)
