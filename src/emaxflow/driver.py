@@ -11,7 +11,11 @@ from above; recovery would turn a success at F into a feasible flow worth
 about F/(1+eps'), so a probe above (1+eps') times that cut fails without an
 oracle call.  A probe that exhausts its oracle budget is resumed once from
 its own state; if it is still unknown it caps where the search looks next,
-without narrowing the certified bracket.
+without narrowing the certified bracket.  The first probe's MWU run starts
+from unit weights; each later one starts from the final weights of the
+last probe that did not end in a certified failure.  Neither an energy
+failure nor a verified success depends on the start, so this changes only
+how many oracle calls a probe takes.
 `exact_max_flow` is a plain blocking-flow (Dinic) implementation used for
 upper bounds in reports and for verification.
 """
@@ -386,6 +390,9 @@ def approx_max_flow(
         # probe that stayed unknown after its resume.  The search looks
         # below both rather than stopping at the certified bracket.
         f_cap = math.inf
+        # Start weights for the next probe: the final weights of the last
+        # probe that succeeded or stayed unknown, None (unit) before one.
+        warm = None
         while (top := min(f_hi, f_cap)) > gap * max(f_lo, floor) and probes < _MAX_PROBES:
             probes += 1
             # Bias probes toward the top of the bracket: a success then jumps
@@ -403,6 +410,7 @@ def approx_max_flow(
                 eps_i,
                 max_iterations=max_iterations,
                 trace=lambda i, d, p=probes: emit(p, i, d),
+                weights=warm,
             )
             result = next(attempts)
             if not (result.succeeded or result.certified_infeasible):
@@ -410,6 +418,8 @@ def approx_max_flow(
                 # once from its weights, averages and potentials.
                 result = next(attempts)
             oracle_calls += result.iterations
+            if not result.certified_infeasible:
+                warm = result.weights
             if result.succeeded:
                 try:
                     rec = recover_directed_flow(result.flow, pruned)

@@ -6,13 +6,17 @@ s-t flow of the requested value, and fails when the flow's energy exceeds a
 threshold derived from the weight total.  Successful flows are averaged; the
 loop stops as soon as a running average stays within the per-edge bound
 ``|f| <= (1+eps) * u_parent`` and the exact target value, both verified
-explicitly before returning.
+explicitly before returning.  A run starts from unit weights unless it is
+given other positive weights to start from, such as the final weights of an
+earlier run on the same network; an energy failure certifies infeasibility
+whatever the weights, so the start changes what a run costs, not what it
+concludes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Iterator, Optional
 
@@ -143,6 +147,10 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class OracleDiagnostics:
+    """What one oracle call measured.  In the diagnostics a bounded-flow run
+    reports, ``weight_total`` is the total of the run's weights relative to
+    the weights it started from (unit weights unless given others)."""
+
     energy: float
     threshold: float
     max_congestion: float
@@ -235,6 +243,8 @@ class BoundedFlowResult:
     iterations: int
     failure: Optional[str]  # None on success
     last_diagnostics: Optional[OracleDiagnostics]
+    #: The run's final weights, scaled so that the largest is 1.
+    weights: WeightVector
 
     @property
     def succeeded(self) -> bool:
@@ -261,10 +271,11 @@ def solve_bounded_flow(
     """Find an s-t flow of exactly ``target_value`` with every edge flow in
     ``[-(1+eps)u, +(1+eps)u]`` of its parent arc capacity, or report failure.
 
-    Starts from unit weights and iterates the congestion oracle, reweighting
-    edges by their congestion after each successful step.  Running averages
-    of the iterate flows are checked against the contract every iteration
-    and the first one that verifies is returned.  The failure modes are:
+    Starts from unit weights (`bounded_flow_attempts` can start from
+    others) and iterates the congestion oracle, reweighting edges by their
+    congestion after each successful step.  Running averages of the
+    iterate flows are checked against the contract every iteration and the
+    first one that verifies is returned.  The failure modes are:
 
     - ``"oracle-energy"``: an oracle step's energy exceeded its threshold.
       This certifies that the target exceeds the max flow of the
@@ -293,8 +304,15 @@ def bounded_flow_attempts(
     max_iterations: int | None = None,
     trace: TraceCallback | None = None,
     verify_rtol: float = 1e-9,
+    weights: WeightVector | None = None,
 ) -> Iterator[BoundedFlowResult]:
     """The run behind `solve_bounded_flow`, one result per budget.
+
+    The run starts from ``weights``, unit weights by default.  Any strictly
+    positive start leaves every conclusion sound: an energy failure
+    certifies the target infeasible for any positive weights, and a success
+    is verified explicitly.  Each result carries the run's final weights,
+    scaled to max 1, which can start a later run on the same network.
 
     Each ``next`` spends at most twice the capped iteration schedule.  After
     an ``"iteration-budget"`` result the following ``next`` resumes the same
@@ -317,8 +335,14 @@ def bounded_flow_attempts(
         budget = min(budget, DEFAULT_ITERATION_CAP)
     budget = max(budget, 1)
 
-    weights = WeightVector.ones(net.edge_count)
     log_scale = 0.0  # weights are renormalized; true total = total * exp(log_scale)
+    if weights is None:
+        weights = WeightVector.ones(net.edge_count)
+    elif len(weights) != net.edge_count:
+        raise ValueError(f"need {net.edge_count} start weights, got {len(weights)}")
+    elif (top := float(weights.values.max())) != 1.0:
+        log_scale = math.log(top)
+        weights = weights.scaled(1.0 / top)
     solve_tol = default_solve_tolerance(eps, net.edge_count)
     flow_sum = np.zeros(net.edge_count)
     # Prefix snapshots let a burn-in-free "last half" average be formed at
@@ -333,26 +357,21 @@ def bounded_flow_attempts(
     i = 0
     while True:
         if i >= allowed:
-            yield BoundedFlowResult(None, i, "iteration-budget", last_diag)
+            yield BoundedFlowResult(None, i, "iteration-budget", last_diag, weights)
             allowed += 2 * budget
         i += 1
         try:
             out = oracle_step(net, weights, target_value, params, solve_tol, x0=phi_prev)
         except DisconnectedNetworkError:
-            yield BoundedFlowResult(None, i, "disconnected", None)
+            yield BoundedFlowResult(None, i, "disconnected", None, weights)
             return
-        last_diag = OracleDiagnostics(
-            energy=out.diagnostics.energy,
-            threshold=out.diagnostics.threshold,
-            max_congestion=out.diagnostics.max_congestion,
-            weighted_congestion=out.diagnostics.weighted_congestion,
-            weight_total=out.diagnostics.weight_total * math.exp(log_scale),
-            solver_iterations=out.diagnostics.solver_iterations,
+        last_diag = replace(
+            out.diagnostics, weight_total=out.diagnostics.weight_total * math.exp(log_scale)
         )
         if trace is not None:
             trace(i, last_diag)
         if out.verdict is Verdict.FAIL:
-            yield BoundedFlowResult(None, i, "oracle-energy", last_diag)
+            yield BoundedFlowResult(None, i, "oracle-energy", last_diag, weights)
             return
 
         phi_prev = out.potentials
@@ -364,7 +383,7 @@ def bounded_flow_attempts(
         candidates.append(out.flow.values)
         for cand in candidates:
             if check_bounded_flow(net, cand, target_value, verify_rtol):
-                yield BoundedFlowResult(FlowAssignment(net, cand), i, None, last_diag)
+                yield BoundedFlowResult(FlowAssignment(net, cand), i, None, last_diag, weights)
                 return
         if i % snap_every == 0:
             snapshots[i] = flow_sum.copy()

@@ -259,6 +259,53 @@ class TestCutCertifiedProbes:
                 assert report.upper_bound == 0.0
 
 
+class TestWarmStart:
+    @pytest.mark.parametrize(
+        "G, cut, max_iterations",
+        [
+            # With the cut off, probes above F* reach the oracle and fail on
+            # energy between successes.
+            (grid_network(3, 3, 3), False, None),
+            # A tiny budget leaves the second probe unknown after its resume.
+            (random_network(3), True, 10),
+        ],
+    )
+    def test_probes_start_from_the_last_uncertified_weights(
+        self, monkeypatch, G, cut, max_iterations
+    ):
+        runs = []  # [start weights, last result] of each probe
+        attempts = emaxflow.driver.bounded_flow_attempts
+
+        def spy(*args, weights=None, **kwargs):
+            run = [weights, None]
+            runs.append(run)
+            for result in attempts(*args, weights=weights, **kwargs):
+                run[1] = result
+                yield result
+
+        monkeypatch.setattr(emaxflow.driver, "bounded_flow_attempts", spy)
+        if not cut:
+            monkeypatch.setattr(emaxflow.driver, "_threshold_cut", lambda net, phi: np.inf)
+        approx_max_flow(G, 0.25, max_iterations=max_iterations)
+
+        assert runs[0][0] is None  # unit weights
+        carried = None
+        for start, last in runs:
+            assert start is carried
+            if not last.certified_infeasible:
+                carried = last.weights
+        assert any(start is not None for start, _ in runs)
+        lasts = [last for _, last in runs]
+        unknown = [last for last in lasts if not (last.succeeded or last.certified_infeasible)]
+        assert bool(unknown) == cut
+        # Failures after more than one call end with weights of their own,
+        # and no probe starts from them.
+        moved = [last for last in lasts if last.certified_infeasible and last.iterations > 1]
+        assert bool(moved) != cut
+        for last in moved:
+            assert all(start is not last.weights for start, _ in runs)
+
+
 class TestApproxMaxFlow:
     def test_single_arc(self):
         G = DirectedNetwork(2, [(0, 1, 1.0)], 0, 1)

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from emaxflow import (
     DirectedNetwork,
@@ -26,7 +29,7 @@ from emaxflow.mwu import (
     update_weights,
 )
 
-from corpus import nonempty_network, random_sized_network
+from corpus import nonempty_network, random_network, random_sized_network
 from oracles import min_energy_flow_dense
 
 
@@ -293,6 +296,55 @@ class TestSolveBoundedFlow:
         res = solve_bounded_flow(net, 3.5, trace=lambda i, d: records.append((i, d)))
         assert len(records) == res.iterations
         assert records[0][1].threshold == pytest.approx(6.7375, rel=1e-12)
+
+
+class TestStartWeights:
+    """A run may start from any positive weights: the start changes what the
+    run costs, never what it concludes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 199),
+        frac=st.one_of(st.floats(0.05, 1.5), st.floats(0.95, 1.0)),
+        data=st.data(),
+    )
+    def test_skewed_start_is_sound(self, seed, frac, data):
+        G = random_network(seed, n_max=8, m_max=16)
+        assume(G.edge_count > 0)
+        eps = 0.25
+        net = symmetrize(G, eps)
+        maxval, _ = undirected_max_flow_witness(net)
+        baseline = (1 + eps) * G.total_capacity()
+        target = baseline + frac * max(maxval - baseline, 1.0)
+        exps = data.draw(
+            st.lists(st.floats(-6, 2), min_size=net.edge_count, max_size=net.edge_count)
+        )
+        start = WeightVector(10.0 ** np.array(exps))
+        calls = []
+        run = bounded_flow_attempts(
+            net, target, eps, 25, lambda i, d: calls.append(d), weights=start
+        )
+        for result in itertools.islice(run, 2):  # one resume, as the driver does
+            if result.failure == "oracle-energy":
+                assert target > maxval
+            if result.succeeded:
+                assert check_bounded_flow(net, result.flow.values, target)
+            assert float(result.weights.values.max()) == pytest.approx(1.0, rel=1e-12)
+        # The first call is priced by the start, and totals are the start's.
+        assert calls[0].weight_total == pytest.approx(start.total, rel=1e-12)
+
+    def test_unit_start_is_the_default(self):
+        net = symmetrize(random_sized_network(1016, 21, 49), 0.025)
+        target = 2 * 2.788 + (1 + 0.025) * net.arc_capacities.sum()
+        default, given_ones = [], []
+        next(bounded_flow_attempts(net, target, 0.025, 10, lambda i, d: default.append(d)))
+        next(
+            bounded_flow_attempts(
+                net, target, 0.025, 10, lambda i, d: given_ones.append(d),
+                weights=WeightVector.ones(net.edge_count),
+            )
+        )
+        assert default == given_ones
 
 
 class TestOracleInequalities:
