@@ -90,9 +90,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
         print(f"error: m={m} exceeds the {limit} ordered pairs on {n} vertices", file=sys.stderr)
         return EXIT_USAGE
     rng = random.Random(args.seed)
-    pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
-    chosen = rng.sample(pairs, m)
-    arcs = [(u - 1, v - 1, rng.randint(1, args.max_capacity)) for u, v in chosen]
+    # Sample indices into the row-major list of ordered pairs (u, v), u != v,
+    # without building it: pair k has u = k // (n-1), v the (k % (n-1))-th other vertex.
+    pairs = [divmod(k, n - 1) for k in rng.sample(range(limit), m)]
+    arcs = [(u, j + (j >= u), rng.randint(1, args.max_capacity)) for u, j in pairs]
     network = DirectedNetwork(n, arcs, source=0, sink=n - 1)
     text = write_dimacs(network)
     if args.output:
@@ -103,13 +104,27 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_certificate(network: DirectedNetwork, path: str) -> Optional[str]:
-    """Validate a flow certificate file; returns an error message or None."""
+def _read_certificate(path: str) -> tuple[np.ndarray, Optional[float]]:
+    """Arc flows and declared value (None if absent); ValueError unless the
+    file is a JSON object whose ``arc_flows`` and ``value`` are numbers."""
     with open(path, "r", encoding="utf-8") as fp:
         cert = json.load(fp)
-    flows = np.asarray(cert.get("arc_flows", []), dtype=np.float64)
+    if not isinstance(cert, dict):
+        raise ValueError("a certificate is a JSON object")
+    flows, value = cert.get("arc_flows", []), cert.get("value", 0.0)
+    if not (isinstance(flows, list) and all(type(x) in (int, float) for x in flows + [value])):
+        raise ValueError("arc_flows must be a list of numbers, and value a number")
+    return np.asarray(flows, dtype=np.float64), (float(value) if "value" in cert else None)
+
+
+def _check_certificate(
+    network: DirectedNetwork, flows: np.ndarray, declared: Optional[float]
+) -> Optional[str]:
+    """Validate a certificate's flows and value; returns an error message or None."""
     if flows.shape != (network.edge_count,):
         return f"certificate has {flows.shape} arc flows, expected {network.edge_count}"
+    if not (np.isfinite(flows).all() and (declared is None or np.isfinite(declared))):
+        return "certificate carries a non-finite number"
     tol = 1e-6 * max(1.0, float(network.capacities.max()) if network.edge_count else 1.0)
     if (flows < -tol).any():
         return "certificate carries negative arc flow"
@@ -123,8 +138,7 @@ def _check_certificate(network: DirectedNetwork, path: str) -> Optional[str]:
     interior[network.sink] = False
     if interior.any() and float(np.abs(resid[interior]).max()) > tol:
         return "certificate violates conservation"
-    declared = float(cert.get("value", resid[network.source]))
-    if abs(declared - resid[network.source]) > tol:
+    if declared is not None and abs(declared - resid[network.source]) > tol:
         return (
             f"certificate value {declared:.6g} does not match "
             f"its net source outflow {resid[network.source]:.6g}"
@@ -170,10 +184,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     if args.certificate:
         try:
-            problem = _check_certificate(network, args.certificate)
-        except (OSError, json.JSONDecodeError) as exc:
+            flows, declared = _read_certificate(args.certificate)
+        except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
             print(f"error: cannot read certificate: {exc}", file=sys.stderr)
             return EXIT_INPUT
+        problem = _check_certificate(network, flows, declared)
         if problem:
             print(f"CERTIFICATE INVALID: {problem}", file=sys.stderr)
             return EXIT_VERIFY

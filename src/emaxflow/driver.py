@@ -15,7 +15,9 @@ without narrowing the certified bracket.  The first probe's MWU run starts
 from unit weights; each later one starts from the final weights of the
 last probe that did not end in a certified failure.  Neither an energy
 failure nor a verified success depends on the start, so this changes only
-how many oracle calls a probe takes.
+how many oracle calls a probe takes.  Each MWU run takes its accuracy
+from the symmetrized network, built at eps', and per-call trace lines are
+built only for an ``on_trace`` callback.
 `exact_max_flow` is a plain blocking-flow (Dinic) implementation used for
 upper bounds in reports and for verification.
 """
@@ -26,7 +28,7 @@ import itertools
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,7 +36,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order
 
 from .electrical import default_solve_tolerance, electrical_st_flow
-from .mwu import WeightVector, bounded_flow_attempts, compute_resistances
+from .mwu import OracleDiagnostics, bounded_flow_attempts, compute_resistances
 from .network import DirectedNetwork, FlowAssignment, SymmetrizedNetwork, symmetrize
 from .recovery import RecoveryError, RecoveryResult, recover_directed_flow
 
@@ -149,30 +151,17 @@ def exact_max_flow(network: DirectedNetwork) -> tuple[float, FlowAssignment]:
 def undirected_max_flow_witness(net: SymmetrizedNetwork) -> tuple[float, FlowAssignment]:
     """Exact max flow of the undirected multigraph and a witness edge flow.
 
-    Each undirected edge becomes two antiparallel arcs of equal capacity;
-    the witness value on an edge is forward minus backward arc flow.
+    Each undirected edge that is not a self-loop becomes two antiparallel
+    arcs of its capacity, one after the other; the witness value on an edge
+    is forward minus backward arc flow.
     """
-    dinic = _Dinic(net.vertex_count)
-    fwd = []
-    bwd = []
-    for k in range(net.edge_count):
-        a, b, c = int(net.tails[k]), int(net.heads[k]), float(net.capacities[k])
-        if a == b:
-            fwd.append(None)
-            bwd.append(None)
-            continue
-        fwd.append(dinic.add_edge(a, b, c))
-        bwd.append(dinic.add_edge(b, a, c))
-    value = dinic.max_flow(net.source, net.sink)
+    keep = np.flatnonzero(net.tails != net.heads)
+    ends = np.stack([net.tails[keep], net.heads[keep]], axis=1)
+    arcs = zip(ends.ravel(), ends[:, ::-1].ravel(), np.repeat(net.capacities[keep], 2))
+    both = DirectedNetwork(net.vertex_count, arcs, net.source, net.sink)
+    value, flow = exact_max_flow(both)
     vals = np.zeros(net.edge_count)
-    for k in range(net.edge_count):
-        if fwd[k] is None:
-            continue
-        (u1, s1), (u2, s2) = fwd[k], bwd[k]
-        got = (float(net.capacities[k]) - dinic.g[u1][s1].cap) - (
-            float(net.capacities[k]) - dinic.g[u2][s2].cap
-        )
-        vals[k] = got
+    vals[keep] = flow.values[0::2] - flow.values[1::2]
     return value, FlowAssignment(net, vals)
 
 
@@ -199,7 +188,6 @@ class SolveReport:
     fail_count: int
     wall_time_ms: float
     upper_bound: Optional[float] = None
-    trace: tuple = field(default=(), repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -237,8 +225,17 @@ class SolveReport:
         )
 
 
-TraceRecord = dict
-ProbeTrace = Callable[[TraceRecord], None]
+def _trace_line(probe: int, iteration: int, diag: OracleDiagnostics) -> dict:
+    """One ``--trace`` line: an oracle call's diagnostics, 12 digits."""
+    return {
+        "probe": probe,
+        "iter": iteration,
+        "energy": _round12(diag.energy),
+        "threshold": _round12(diag.threshold),
+        "max_cong": _round12(diag.max_congestion),
+        "weighted_cong": _round12(diag.weighted_congestion),
+        "weight_total": _round12(min(diag.weight_total, 1e308)),
+    }
 
 
 def _useful_arcs(network: DirectedNetwork) -> np.ndarray:
@@ -298,7 +295,7 @@ def approx_max_flow(
     epsilon: float,
     exact_check: bool = False,
     instance: str = "",
-    on_trace: ProbeTrace | None = None,
+    on_trace: Callable[[dict], None] | None = None,
     max_iterations: int | None = None,
 ) -> tuple[RecoveryResult, SolveReport]:
     """Feasible directed flow of value at least (1-epsilon) of the optimum.
@@ -324,28 +321,15 @@ def approx_max_flow(
     (`_threshold_cut`).  A success at F would recover a feasible flow worth
     about F/(1+eps'), more than any cut carries, so such a probe is decided
     without an oracle call.  ``report.upper_bound`` holds that bound.
+
+    ``on_trace``, when given, receives one dict per oracle call (the
+    ``--trace`` line); without it no per-call record is built.
     """
     epsilon = float(epsilon)
     if not (0.0 < epsilon < 0.5):
         raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon}")
     t0 = time.perf_counter()
     eps_i = epsilon / 4.0
-
-    trace_records: list[TraceRecord] = []
-
-    def emit(probe: int, iteration: int, diag) -> None:
-        rec = {
-            "probe": probe,
-            "iter": iteration,
-            "energy": _round12(diag.energy),
-            "threshold": _round12(diag.threshold),
-            "max_cong": _round12(diag.max_congestion),
-            "weighted_cong": _round12(diag.weighted_congestion),
-            "weight_total": _round12(min(diag.weight_total, 1e308)),
-        }
-        trace_records.append(rec)
-        if on_trace is not None:
-            on_trace(rec)
 
     useful = _useful_arcs(network)
     pruned = DirectedNetwork(
@@ -373,7 +357,7 @@ def approx_max_flow(
         # first probe's first oracle call makes.
         phi = electrical_st_flow(
             net,
-            compute_resistances(net, WeightVector.ones(net.edge_count), eps_i),
+            compute_resistances(net, np.ones(net.edge_count), eps_i),
             2.0 * (0.75 * f_hi) + baseline,
             default_solve_tolerance(eps_i, net.edge_count),
         ).potentials
@@ -407,9 +391,10 @@ def approx_max_flow(
             attempts = bounded_flow_attempts(
                 net,
                 2.0 * probe_value + baseline,
-                eps_i,
                 max_iterations=max_iterations,
-                trace=lambda i, d, p=probes: emit(p, i, d),
+                trace=None if on_trace is None else (
+                    lambda i, d, p=probes: on_trace(_trace_line(p, i, d))
+                ),
                 weights=warm,
             )
             result = next(attempts)
@@ -466,6 +451,5 @@ def approx_max_flow(
         fail_count=fail_count,
         wall_time_ms=(time.perf_counter() - t0) * 1000.0,
         upper_bound=upper,
-        trace=tuple(trace_records),
     )
     return best, report

@@ -2,28 +2,28 @@
 
 Each oracle step prices every edge of the symmetrized network by
 ``r = (w + regularizer) / u_parent^2``, computes an approximate electrical
-s-t flow of the requested value, and fails when the flow's energy exceeds a
-threshold derived from the weight total.  Successful flows are averaged; the
-loop stops as soon as a running average stays within the per-edge bound
-``|f| <= (1+eps) * u_parent`` and the exact target value, both verified
-explicitly before returning.  A run starts from unit weights unless it is
-given other positive weights to start from, such as the final weights of an
-earlier run on the same network; an energy failure certifies infeasibility
-whatever the weights, so the start changes what a run costs, not what it
-concludes.
+s-t flow of the requested value, and the loop fails when the flow's energy
+exceeds a threshold derived from the weight total.  Successful flows are
+averaged; the loop stops as soon as a running average stays within the
+per-edge bound ``|f| <= (1+eps) * u_parent`` and the exact target value,
+both verified explicitly before returning; ``eps`` is the network's own.
+A run starts from unit weights unless it is given other positive weights
+to start from, such as the final weights of an earlier run on the same
+network; an energy failure certifies infeasibility whatever the weights,
+so the start changes what a run costs, not what it concludes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from .electrical import (
     DisconnectedNetworkError,
+    ElectricalSolveResult,
     default_solve_tolerance,
     electrical_st_flow,
 )
@@ -38,55 +38,13 @@ class WidthViolationError(RuntimeError):
     """An oracle flow exceeded the congestion width guarantee."""
 
 
-@dataclass(frozen=True)
-class OracleParams:
-    """Loop parameters: accuracy eps and congestion width."""
-
-    epsilon: float
-    arc_count: int
-
-    def __post_init__(self):
-        if not (0.0 < self.epsilon <= 0.5):
-            raise ValueError(f"epsilon must lie in (0, 1/2], got {self.epsilon}")
-        if self.arc_count < 1:
-            raise ValueError("need at least one arc")
-
-    @classmethod
-    def for_network(cls, net: SymmetrizedNetwork, epsilon: float | None = None) -> "OracleParams":
-        return cls(net.epsilon if epsilon is None else float(epsilon), net.m_arcs)
-
-    @property
-    def width(self) -> float:
-        """Max congestion any successful oracle flow can carry: sqrt(27 m / eps)."""
-        return math.sqrt(27.0 * self.arc_count / self.epsilon)
-
-
-class WeightVector:
-    """Strictly positive per-edge weights with a cached total."""
-
-    __slots__ = ("values", "total")
-
-    def __init__(self, values):
-        arr = np.array(values, dtype=np.float64)
-        if not (np.isfinite(arr).all() and (arr > 0).all()):
-            raise ValueError("weights must be finite and strictly positive")
-        arr.setflags(write=False)
-        self.values = arr
-        self.total = float(arr.sum())
-
-    @classmethod
-    def ones(cls, edge_count: int) -> "WeightVector":
-        return cls(np.ones(edge_count))
-
-    def scaled(self, factor: float) -> "WeightVector":
-        return WeightVector(self.values * factor)
-
-    def __len__(self) -> int:
-        return len(self.values)
+def oracle_width(net: SymmetrizedNetwork) -> float:
+    """Max congestion any successful oracle flow can carry: sqrt(27 m / eps)."""
+    return math.sqrt(27.0 * net.m_arcs / net.epsilon)
 
 
 def compute_resistances(
-    net: SymmetrizedNetwork, weights: WeightVector, epsilon: float
+    net: SymmetrizedNetwork, weights: np.ndarray, epsilon: float
 ) -> np.ndarray:
     """Edge resistances (w + eps*|w|_1/(3*edges)) / u_parent^2.
 
@@ -94,33 +52,25 @@ def compute_resistances(
     relative to the weight total; with all weights tied it reduces to a
     per-arc form because each arc owns exactly three edges.
     """
-    reg = epsilon * weights.total / (3.0 * net.edge_count)
-    return (weights.values + reg) / (net.parent_capacity**2)
+    reg = epsilon * float(weights.sum()) / (3.0 * net.edge_count)
+    return (weights + reg) / (net.parent_capacity**2)
 
 
-def fail_threshold(net: SymmetrizedNetwork, weights: WeightVector, epsilon: float) -> float:
+def fail_threshold(net: SymmetrizedNetwork, weights: np.ndarray, epsilon: float) -> float:
     """Energy ceiling above which an oracle step reports failure.
 
     (1 + eps/10) * sum_a (w_a + regularizer) * (cap_a / u_parent_a)^2 — the
     energy of a flow that congests every edge exactly to its capacity ratio,
     padded by the electrical solver's accuracy factor.
     """
-    reg = epsilon * weights.total / (3.0 * net.edge_count)
+    reg = epsilon * float(weights.sum()) / (3.0 * net.edge_count)
     beta = net.capacities / net.parent_capacity
-    return float((1.0 + epsilon / 10.0) * np.sum((weights.values + reg) * beta * beta))
-
-
-def congestion_of(flow: FlowAssignment, net: SymmetrizedNetwork | None = None) -> np.ndarray:
-    """Per-edge congestion |f| / u_parent (parent arc's original capacity)."""
-    net = flow.network if net is None else net
-    if not isinstance(net, SymmetrizedNetwork):
-        raise TypeError("congestion is defined on symmetrized networks")
-    return np.abs(flow.values) / net.parent_capacity
+    return float((1.0 + epsilon / 10.0) * np.sum((weights + reg) * beta * beta))
 
 
 def update_weights(
-    weights: WeightVector, congestion: np.ndarray, params: OracleParams
-) -> WeightVector:
+    weights: np.ndarray, congestion: np.ndarray, epsilon: float, width: float
+) -> np.ndarray:
     """Multiplicative update w <- w * (1 + (eps/step) * congestion), with
     step = max(1 + eps, observed max congestion).
 
@@ -129,74 +79,52 @@ def update_weights(
     the returned flow is post-verified either way.  Congestion above the
     width raises `WidthViolationError`.
     """
-    cong = np.asarray(congestion, dtype=np.float64)
-    width = params.width
-    worst = float(cong.max()) if len(cong) else 0.0
+    worst = float(congestion.max()) if len(congestion) else 0.0
     if worst > width * (1.0 + 1e-9):
         raise WidthViolationError(
             f"congestion {worst:.6g} exceeds the oracle width {width:.6g}"
         )
-    step = max(1.0 + params.epsilon, worst)
-    return WeightVector(weights.values * (1.0 + (params.epsilon / step) * cong))
-
-
-class Verdict(Enum):
-    FLOW = "flow"
-    FAIL = "fail"
+    step = max(1.0 + epsilon, worst)
+    return weights * (1.0 + (epsilon / step) * congestion)
 
 
 @dataclass(frozen=True)
 class OracleDiagnostics:
-    """What one oracle call measured.  In the diagnostics a bounded-flow run
-    reports, ``weight_total`` is the total of the run's weights relative to
-    the weights it started from (unit weights unless given others)."""
+    """What one oracle call measured; it failed if energy > threshold.  The weight
+    total is relative to the weights the run started from (unit unless given)."""
 
     energy: float
     threshold: float
     max_congestion: float
     weighted_congestion: float
     weight_total: float
-    solver_iterations: int
-
-
-@dataclass(frozen=True)
-class OracleOutcome:
-    verdict: Verdict
-    flow: Optional[FlowAssignment]
-    congestion: Optional[np.ndarray]
-    potentials: Optional[np.ndarray]
-    diagnostics: OracleDiagnostics
 
 
 def oracle_step(
     net: SymmetrizedNetwork,
-    weights: WeightVector,
+    weights: np.ndarray,
     target_value: float,
-    params: OracleParams,
-    solve_tol: float | None = None,
     x0: np.ndarray | None = None,
-) -> OracleOutcome:
-    """One oracle call: price edges, solve the electrical flow, test its energy."""
+    weight_scale: float = 1.0,
+) -> tuple[ElectricalSolveResult, np.ndarray, OracleDiagnostics]:
+    """One oracle call: the electrical flow priced by ``weights``, its congestion
+    |f| / u_parent, and diagnostics, whose weight total is scaled by ``weight_scale``."""
     if target_value < 0:
         raise ValueError("target_value must be nonnegative")
-    eps = params.epsilon
+    eps = net.epsilon
     r = compute_resistances(net, weights, eps)
     threshold = fail_threshold(net, weights, eps)
-    if solve_tol is None:
-        solve_tol = default_solve_tolerance(eps, net.edge_count)
+    solve_tol = default_solve_tolerance(eps, net.edge_count)
     result = electrical_st_flow(net, r, target_value, solve_tol, x0=x0)
-    cong = congestion_of(result.flow, net)
+    cong = np.abs(result.flow.values) / net.parent_capacity
     diag = OracleDiagnostics(
         energy=result.energy,
         threshold=threshold,
         max_congestion=float(cong.max()) if len(cong) else 0.0,
-        weighted_congestion=float(np.dot(weights.values, cong)),
-        weight_total=weights.total,
-        solver_iterations=result.iterations,
+        weighted_congestion=float(np.dot(weights, cong)),
+        weight_total=float(weights.sum()) * weight_scale,
     )
-    if result.energy > threshold:
-        return OracleOutcome(Verdict.FAIL, result.flow, cong, result.potentials, diag)
-    return OracleOutcome(Verdict.FLOW, result.flow, cong, result.potentials, diag)
+    return result, cong, diag
 
 
 def check_bounded_flow(
@@ -222,10 +150,11 @@ def check_bounded_flow(
     return True
 
 
-def iteration_schedule(net: SymmetrizedNetwork, epsilon: float) -> int:
+def iteration_schedule(net: SymmetrizedNetwork) -> int:
     """Theoretical oracle-call budget 2 * width * ln(edges) / eps^2."""
-    params = OracleParams.for_network(net, epsilon)
-    return math.ceil(2.0 * params.width * math.log(max(net.edge_count, 2)) / epsilon**2)
+    return math.ceil(
+        2.0 * oracle_width(net) * math.log(max(net.edge_count, 2)) / net.epsilon**2
+    )
 
 
 #: Failure modes that prove no flow of the target value fits the symmetrized
@@ -242,9 +171,8 @@ class BoundedFlowResult:
     flow: Optional[FlowAssignment]
     iterations: int
     failure: Optional[str]  # None on success
-    last_diagnostics: Optional[OracleDiagnostics]
     #: The run's final weights, scaled so that the largest is 1.
-    weights: WeightVector
+    weights: np.ndarray
 
     @property
     def succeeded(self) -> bool:
@@ -263,19 +191,18 @@ TraceCallback = Callable[[int, OracleDiagnostics], None]
 def solve_bounded_flow(
     net: SymmetrizedNetwork,
     target_value: float,
-    epsilon: float | None = None,
+    *,
     max_iterations: int | None = None,
     trace: TraceCallback | None = None,
-    verify_rtol: float = 1e-9,
 ) -> BoundedFlowResult:
     """Find an s-t flow of exactly ``target_value`` with every edge flow in
     ``[-(1+eps)u, +(1+eps)u]`` of its parent arc capacity, or report failure.
 
     Starts from unit weights (`bounded_flow_attempts` can start from
     others) and iterates the congestion oracle, reweighting edges by their
-    congestion after each successful step.  Running averages of the
-    iterate flows are checked against the contract every iteration and the
-    first one that verifies is returned.  The failure modes are:
+    congestion after each successful step.  Running averages of the iterate
+    flows are checked against the contract every iteration and the first
+    one that verifies is returned.  The failure modes are:
 
     - ``"oracle-energy"``: an oracle step's energy exceeded its threshold.
       This certifies that the target exceeds the max flow of the
@@ -291,25 +218,22 @@ def solve_bounded_flow(
     capacity's worth of link routing, i.e. the sum of boosted capacities.
     """
     return next(
-        bounded_flow_attempts(
-            net, target_value, epsilon, max_iterations, trace, verify_rtol
-        )
+        bounded_flow_attempts(net, target_value, max_iterations=max_iterations, trace=trace)
     )
 
 
 def bounded_flow_attempts(
     net: SymmetrizedNetwork,
     target_value: float,
-    epsilon: float | None = None,
+    *,
     max_iterations: int | None = None,
     trace: TraceCallback | None = None,
-    verify_rtol: float = 1e-9,
-    weights: WeightVector | None = None,
+    weights: np.ndarray | None = None,
 ) -> Iterator[BoundedFlowResult]:
     """The run behind `solve_bounded_flow`, one result per budget.
 
-    The run starts from ``weights``, unit weights by default.  Any strictly
-    positive start leaves every conclusion sound: an energy failure
+    The run starts from ``weights``, unit weights by default.  Any finite,
+    strictly positive start leaves every conclusion sound: an energy failure
     certifies the target infeasible for any positive weights, and a success
     is verified explicitly.  Each result carries the run's final weights,
     scaled to max 1, which can start a later run on the same network.
@@ -320,15 +244,15 @@ def bounded_flow_attempts(
     ``iterations`` counts the calls of the whole run.  The generator ends
     after a success or a certified failure.
     """
-    eps = net.epsilon if epsilon is None else float(epsilon)
+    eps = net.epsilon
     baseline = (1.0 + eps) * float(net.arc_capacities.sum())
     if not target_value > baseline:
         raise ValueError(
             f"target value {target_value} must exceed the boosted capacity total "
             f"{baseline}"
         )
-    params = OracleParams.for_network(net, eps)
-    budget = iteration_schedule(net, eps)
+    width = oracle_width(net)
+    budget = iteration_schedule(net)
     if max_iterations is not None:
         budget = min(budget, max_iterations)
     else:
@@ -337,13 +261,12 @@ def bounded_flow_attempts(
 
     log_scale = 0.0  # weights are renormalized; true total = total * exp(log_scale)
     if weights is None:
-        weights = WeightVector.ones(net.edge_count)
-    elif len(weights) != net.edge_count:
-        raise ValueError(f"need {net.edge_count} start weights, got {len(weights)}")
-    elif (top := float(weights.values.max())) != 1.0:
+        weights = np.ones(net.edge_count)
+    elif np.shape(weights) != (net.edge_count,) or not (np.isfinite(weights) & (weights > 0)).all():
+        raise ValueError(f"need {net.edge_count} finite, strictly positive start weights")
+    elif (top := float(weights.max())) != 1.0:
         log_scale = math.log(top)
-        weights = weights.scaled(1.0 / top)
-    solve_tol = default_solve_tolerance(eps, net.edge_count)
+        weights = weights * (1.0 / top)
     flow_sum = np.zeros(net.edge_count)
     # Prefix snapshots let a burn-in-free "last half" average be formed at
     # any iteration with bounded lag; early iterates otherwise dominate the
@@ -353,45 +276,43 @@ def bounded_flow_attempts(
     phi_prev: np.ndarray | None = None
 
     allowed = 2 * budget
-    last_diag: Optional[OracleDiagnostics] = None
     i = 0
     while True:
         if i >= allowed:
-            yield BoundedFlowResult(None, i, "iteration-budget", last_diag, weights)
+            yield BoundedFlowResult(None, i, "iteration-budget", weights)
             allowed += 2 * budget
         i += 1
         try:
-            out = oracle_step(net, weights, target_value, params, solve_tol, x0=phi_prev)
+            result, cong, diag = oracle_step(
+                net, weights, target_value, phi_prev, math.exp(log_scale)
+            )
         except DisconnectedNetworkError:
-            yield BoundedFlowResult(None, i, "disconnected", None, weights)
+            yield BoundedFlowResult(None, i, "disconnected", weights)
             return
-        last_diag = replace(
-            out.diagnostics, weight_total=out.diagnostics.weight_total * math.exp(log_scale)
-        )
         if trace is not None:
-            trace(i, last_diag)
-        if out.verdict is Verdict.FAIL:
-            yield BoundedFlowResult(None, i, "oracle-energy", last_diag, weights)
+            trace(i, diag)
+        if diag.energy > diag.threshold:
+            yield BoundedFlowResult(None, i, "oracle-energy", weights)
             return
 
-        phi_prev = out.potentials
-        flow_sum += out.flow.values
+        phi_prev = result.potentials
+        flow_sum += result.flow.values
         half_start = (i // 2) // snap_every * snap_every
         candidates = [flow_sum / i]
         if 0 < half_start < i:
             candidates.append((flow_sum - snapshots[half_start]) / (i - half_start))
-        candidates.append(out.flow.values)
+        candidates.append(result.flow.values)
         for cand in candidates:
-            if check_bounded_flow(net, cand, target_value, verify_rtol):
-                yield BoundedFlowResult(FlowAssignment(net, cand), i, None, last_diag, weights)
+            if check_bounded_flow(net, cand, target_value):
+                yield BoundedFlowResult(FlowAssignment(net, cand), i, None, weights)
                 return
         if i % snap_every == 0:
             snapshots[i] = flow_sum.copy()
             for key in [k for k in snapshots if 0 < k < half_start]:
                 del snapshots[key]
 
-        weights = update_weights(weights, out.congestion, params)
-        top = float(weights.values.max())
+        weights = update_weights(weights, cong, eps, width)
+        top = float(weights.max())
         if top > 1.0:
             log_scale += math.log(top)
-            weights = weights.scaled(1.0 / top)
+            weights = weights * (1.0 / top)

@@ -15,6 +15,7 @@ flow - (1+eps) * total capacity) / 2).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -31,7 +32,7 @@ from emaxflow import (
 )
 from emaxflow.driver import undirected_max_flow_witness
 from emaxflow.electrical import default_solve_tolerance, electrical_st_flow
-from emaxflow.mwu import BoundedFlowResult, OracleParams
+from emaxflow.mwu import BoundedFlowResult
 from emaxflow.network import Provenance
 from emaxflow.recovery import cycle_cancel, extract_directed, subtract_and_halve
 
@@ -86,9 +87,7 @@ def corpus_sweep():
             for frac in FRACTIONS:
                 target = 2 * frac * fstar + (1 + eps) * total
                 calls: list = []
-                res = solve_bounded_flow(
-                    net, target, eps, trace=lambda i, d: calls.append(d)
-                )
+                res = solve_bounded_flow(net, target, trace=lambda i, d: calls.append(d))
                 case = SweepCase(seed, eps, frac, fstar, target, net, G, res, calls)
                 if not res.succeeded:
                     case.forced = target > undirected_max_flow_witness(net)[0] + 1e-9
@@ -177,7 +176,7 @@ def test_c3_oracle_inequalities(corpus_sweep):
     first_checked = 0
     violations = 0
     for case in corpus_sweep:
-        params = OracleParams(case.eps, case.network.edge_count)
+        width = math.sqrt(27.0 * case.network.edge_count / case.eps)
         n_calls = len(case.calls)
         for i, diag in enumerate(case.calls):
             is_failing_call = (
@@ -187,7 +186,7 @@ def test_c3_oracle_inequalities(corpus_sweep):
                 calls_checked += 1
                 if not diag.energy <= diag.threshold * (1 + 1e-12):
                     violations += 1
-                if not diag.max_congestion <= params.width * (1 + 1e-9):
+                if not diag.max_congestion <= width * (1 + 1e-9):
                     violations += 1
                 if i == 0:
                     first_checked += 1
@@ -228,7 +227,7 @@ def test_c4_bounded_flow_solver_contract():
                 continue
             for frac in FRACTIONS:
                 target = 2 * frac * f_red + (1 + eps) * total
-                res = solve_bounded_flow(net, target, eps)
+                res = solve_bounded_flow(net, target)
                 runs += 1
                 if not res.succeeded:
                     failures.append((seed, eps, frac, target, res.failure))

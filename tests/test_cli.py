@@ -1,9 +1,12 @@
 import json
+import random
+import tracemalloc
 
 import pytest
 
-from emaxflow import cli, parse_dimacs
+from emaxflow import DirectedNetwork, cli, parse_dimacs
 from emaxflow.cli import main
+from emaxflow.network import write_dimacs
 
 SINGLE_ARC = "p max 2 1\nn 1 s\nn 2 t\na 1 2 1\n"
 GAP = "p max 4 5\nn 1 s\nn 4 t\na 1 2 1\na 1 3 1\na 2 4 1\na 3 4 1\na 3 2 5\n"
@@ -112,6 +115,34 @@ class TestGen:
         assert net.edge_count == 5
         assert (net.source, net.sink) == (0, 3)
 
+    def test_matches_the_explicit_pair_list(self, capsys):
+        # Sampling pair indices gives the file that sampling the list of all
+        # n(n-1) ordered pairs gives, for every (n, m, seed).
+        for n in (2, 3, 5, 8):
+            limit = n * (n - 1)
+            for m in sorted({0, 1, limit // 2, limit - 1, limit}):
+                for seed in range(3):
+                    rng = random.Random(seed)
+                    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+                    arcs = [(u, v, rng.randint(1, 10)) for u, v in rng.sample(pairs, m)]
+                    want = write_dimacs(DirectedNetwork(n, arcs, 0, n - 1))
+                    args = ["gen", "--n", str(n), "--m", str(m), "--seed", str(seed)]
+                    assert main(args) == 0
+                    assert capsys.readouterr().out == want
+
+    def test_memory_does_not_grow_with_the_pair_count(self, tmp_path):
+        # 3,000 vertices have about 9 million ordered pairs; five arcs must
+        # not build them.
+        out = tmp_path / "g.max"
+        tracemalloc.start()
+        try:
+            assert main(["gen", "--n", "3000", "--m", "5", "--output", str(out)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert parse_dimacs(out.read_text()).edge_count == 5
+
 
 class TestVerify:
     def test_single_arc_identity_holds(self, single_arc_file, capsys):
@@ -168,6 +199,45 @@ class TestVerify:
             ]
         )
         assert code == 0
+
+    def _verify_certificate(self, single_arc_file, tmp_path, text):
+        cert = tmp_path / "cert.json"
+        cert.write_text(text)
+        return main(
+            ["verify", "--input", single_arc_file, "--epsilon", "0.5", "--certificate", str(cert)]
+        )
+
+    @pytest.mark.parametrize(
+        "cert",
+        [
+            {"arc_flows": [float("nan")]},
+            {"arc_flows": [float("inf")]},
+            {"value": float("nan"), "arc_flows": [1.0]},
+            {"value": float("-inf"), "arc_flows": [1.0]},
+        ],
+        ids=["nan-flow", "inf-flow", "nan-value", "inf-value"],
+    )
+    def test_non_finite_certificate_exits_4(self, single_arc_file, tmp_path, cert):
+        # Every comparison with NaN is false, so only an explicit check
+        # keeps a NaN flow from passing as valid.
+        assert self._verify_certificate(single_arc_file, tmp_path, json.dumps(cert)) == 4
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1.0]",
+            '{"arc_flows": 1.0}',
+            '{"arc_flows": ["1.0"]}',
+            '{"arc_flows": [[1.0]]}',
+            '{"value": "1", "arc_flows": [1.0]}',
+            '{"value": null, "arc_flows": [1.0]}',
+            '{"arc_flows": [1.0',
+        ],
+        ids=["list", "scalar-flows", "string-flow", "nested-flow", "string-value",
+             "null-value", "truncated"],
+    )
+    def test_malformed_certificate_is_input_error(self, single_arc_file, tmp_path, text):
+        assert self._verify_certificate(single_arc_file, tmp_path, text) == 2
 
     def test_corrupted_certificate_exits_4(self, single_arc_file, tmp_path):
         cert = tmp_path / "cert.json"

@@ -389,10 +389,23 @@ class TestApproxMaxFlow:
             diamond(), 0.25, on_trace=lambda rec: records.append(rec)
         )
         assert len(records) == report.oracle_calls
-        assert len(report.trace) == report.oracle_calls
         assert {"probe", "iter", "energy", "threshold", "max_cong"} <= set(
             records[0].keys()
         )
+
+    def test_no_trace_without_a_callback(self, monkeypatch):
+        traces = []
+        attempts = emaxflow.driver.bounded_flow_attempts
+
+        def spy(*args, trace=None, **kwargs):
+            traces.append(trace)
+            return attempts(*args, trace=trace, **kwargs)
+
+        monkeypatch.setattr(emaxflow.driver, "bounded_flow_attempts", spy)
+        approx_max_flow(diamond(), 0.25)
+        assert traces and all(t is None for t in traces)
+        approx_max_flow(diamond(), 0.25, on_trace=lambda rec: None)
+        assert traces[-1] is not None
 
     def test_epsilon_budget_composition(self):
         # the internal split must leave (1-eps) of the optimum: a (1+eps')

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from emaxflow import (
     DirectedNetwork,
-    FlowAssignment,
     WidthViolationError,
     exact_max_flow,
     solve_bounded_flow,
@@ -16,16 +15,13 @@ from emaxflow import (
 )
 from emaxflow.driver import undirected_max_flow_witness
 from emaxflow.mwu import (
-    OracleParams,
-    Verdict,
-    WeightVector,
     bounded_flow_attempts,
     check_bounded_flow,
     compute_resistances,
-    congestion_of,
     fail_threshold,
     iteration_schedule,
     oracle_step,
+    oracle_width,
     update_weights,
 )
 
@@ -37,54 +33,39 @@ def single_arc_net(eps=0.5, cap=1.0):
     return symmetrize(DirectedNetwork(2, [(0, 1, cap)], 0, 1), eps)
 
 
-class TestOracleParams:
+class TestOracleWidth:
     def test_width_identity(self):
-        p = OracleParams(epsilon=0.3, arc_count=17)
-        assert p.width == math.sqrt(27 * 17 / 0.3)
-        assert p.width**2 * p.epsilon == pytest.approx(27 * 17, rel=1e-12)
-
-    def test_rejects_bad_epsilon(self):
-        with pytest.raises(ValueError):
-            OracleParams(0.0, 3)
-        with pytest.raises(ValueError):
-            OracleParams(0.7, 3)
-
-
-class TestWeightVector:
-    def test_cached_total_matches(self):
-        w = WeightVector(np.array([0.5, 1.5, 2.0]))
-        assert w.total == pytest.approx(float(w.values.sum()), rel=1e-12)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            WeightVector(np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            WeightVector(np.array([1.0, -2.0]))
+        net = symmetrize(
+            DirectedNetwork(18, [(i, i + 1, 1.0) for i in range(17)], 0, 17), 0.3
+        )
+        width = oracle_width(net)
+        assert width == math.sqrt(27 * 17 / 0.3)
+        assert width**2 * 0.3 == pytest.approx(27 * 17, rel=1e-12)
 
 
 class TestComputeResistances:
     def test_tied_unit_weights(self):
         # one unit-capacity arc, eps = 0.3: r = 1 + 0.3 * 3 / 9 = 1.1
         net = single_arc_net(eps=0.3)
-        r = compute_resistances(net, WeightVector.ones(3), 0.3)
+        r = compute_resistances(net, np.ones(3), 0.3)
         assert r == pytest.approx([1.1, 1.1, 1.1], rel=1e-12)
 
     def test_capacity_scaling(self):
         net = single_arc_net(eps=0.3, cap=2.0)
-        r = compute_resistances(net, WeightVector.ones(3), 0.3)
+        r = compute_resistances(net, np.ones(3), 0.3)
         assert r == pytest.approx([0.275, 0.275, 0.275], rel=1e-12)
 
     def test_vanishing_regularizer(self):
         net = single_arc_net(eps=0.4, cap=3.0)
-        w = WeightVector(np.array([2.0, 5.0, 1.0]))
+        w = np.array([2.0, 5.0, 1.0])
         r = compute_resistances(net, w, 1e-12)
-        assert r == pytest.approx(w.values / 9.0, rel=1e-9)
+        assert r == pytest.approx(w / 9.0, rel=1e-9)
 
 
 class TestFailThreshold:
     def test_tied_small_epsilon_approaches_weight_total(self):
         net = single_arc_net(eps=1e-9 + 0.0001)  # symmetrize needs eps > 0
-        w = WeightVector.ones(3)
+        w = np.ones(3)
         t = fail_threshold(net, w, 1e-4)
         assert t == pytest.approx(3.0, rel=1e-3)
 
@@ -92,7 +73,7 @@ class TestFailThreshold:
         # eps = 0.5, tied unit weights on one arc: the closed form is
         # (1 + eps/10)(1 + eps/3)((1 + 2(1+eps)^2)/3) * total = 6.7375
         net = single_arc_net(eps=0.5)
-        t = fail_threshold(net, WeightVector.ones(3), 0.5)
+        t = fail_threshold(net, np.ones(3), 0.5)
         assert t == pytest.approx(6.7375, rel=1e-12)
         closed = (1 + 0.05) * (1 + 0.5 / 3) * ((1 + 2 * 1.5**2) / 3) * 3.0
         assert t == pytest.approx(closed, rel=1e-12)
@@ -100,10 +81,10 @@ class TestFailThreshold:
     def test_tied_matches_closed_form_any_network(self):
         net = symmetrize(nonempty_network(8), 0.25)
         c = 1.7
-        w = WeightVector(np.full(net.edge_count, c))
+        w = np.full(net.edge_count, c)
         t = fail_threshold(net, w, 0.25)
         eps = 0.25
-        closed = (1 + eps / 10) * (1 + eps / 3) * ((1 + 2 * (1 + eps) ** 2) / 3) * w.total
+        closed = (1 + eps / 10) * (1 + eps / 3) * ((1 + 2 * (1 + eps) ** 2) / 3) * w.sum()
         assert t == pytest.approx(closed, rel=1e-12)
 
     def test_untied_weights_beta_weighted_sum(self):
@@ -111,12 +92,12 @@ class TestFailThreshold:
         # ratio (1+eps) enters squared.
         eps = 0.4
         net = single_arc_net(eps=eps)
-        w = WeightVector(np.array([1e-9, 1.0, 1e-9]))
-        reg = eps * w.total / (3 * net.edge_count)
+        w = np.array([1e-9, 1.0, 1e-9])
+        reg = eps * w.sum() / (3 * net.edge_count)
         expected = (1 + eps / 10) * (
-            (w.values[0] + reg) * 1.0
-            + (w.values[1] + reg) * (1 + eps) ** 2
-            + (w.values[2] + reg) * (1 + eps) ** 2
+            (w[0] + reg) * 1.0
+            + (w[1] + reg) * (1 + eps) ** 2
+            + (w[2] + reg) * (1 + eps) ** 2
         )
         assert fail_threshold(net, w, eps) == pytest.approx(expected, rel=1e-12)
 
@@ -124,84 +105,81 @@ class TestFailThreshold:
 class TestOracleStep:
     def test_single_arc_flow_verdict(self):
         net = single_arc_net()
-        params = OracleParams.for_network(net)
-        out = oracle_step(net, WeightVector.ones(3), 3.5, params)
-        assert out.verdict is Verdict.FLOW
-        assert out.flow.values == pytest.approx([7 / 6] * 3, rel=1e-9)
-        assert out.diagnostics.energy == pytest.approx(343 / 72, rel=1e-9)
-        assert out.diagnostics.threshold == pytest.approx(6.7375, rel=1e-12)
+        result, _, diag = oracle_step(net, np.ones(3), 3.5)
+        assert diag.energy <= diag.threshold
+        assert result.flow.values == pytest.approx([7 / 6] * 3, rel=1e-9)
+        assert diag.energy == pytest.approx(343 / 72, rel=1e-9)
+        assert diag.threshold == pytest.approx(6.7375, rel=1e-12)
 
     def test_single_arc_fail_at_large_value(self):
         net = single_arc_net()
-        params = OracleParams.for_network(net)
-        out = oracle_step(net, WeightVector.ones(3), 100.0, params)
-        assert out.verdict is Verdict.FAIL
-        assert out.diagnostics.energy > out.diagnostics.threshold
+        _, _, diag = oracle_step(net, np.ones(3), 100.0)
+        assert diag.energy > diag.threshold
         # energy scales as the squared value
-        assert out.diagnostics.energy == pytest.approx(
-            (100 / 3.5) ** 2 * 343 / 72, rel=1e-6
-        )
+        assert diag.energy == pytest.approx((100 / 3.5) ** 2 * 343 / 72, rel=1e-6)
 
     def test_zero_target(self):
         net = single_arc_net()
-        params = OracleParams.for_network(net)
-        out = oracle_step(net, WeightVector.ones(3), 0.0, params)
-        assert out.verdict is Verdict.FLOW
-        assert (out.flow.values == 0.0).all()
-        assert out.diagnostics.energy == 0.0
+        result, _, diag = oracle_step(net, np.ones(3), 0.0)
+        assert diag.energy <= diag.threshold
+        assert (result.flow.values == 0.0).all()
+        assert diag.energy == 0.0
 
 
 class TestCongestion:
     def test_definition(self):
+        # Congestion is |f| / u_parent: on a capacity-2 arc every edge of
+        # the oracle flow (7/6 a unit arc's worth, doubled) has 7/6.
         G = DirectedNetwork(2, [(0, 1, 2.0)], 0, 1)
-        net = symmetrize(G, 0.25)
-        f = FlowAssignment(net, [0.5, -1.0, 0.0])
-        cong = congestion_of(f)
-        assert cong[0] == pytest.approx(0.25)
-        assert cong[1] == pytest.approx(0.5)
+        net = symmetrize(G, 0.5)
+        result, cong, _ = oracle_step(net, np.ones(3), 7.0)
+        assert result.flow.values == pytest.approx([7 / 3] * 3, rel=1e-9)
+        assert cong == pytest.approx([7 / 6] * 3, rel=1e-9)
 
     def test_absolute_value(self):
-        net = single_arc_net(eps=0.2)
-        f = FlowAssignment(net, [-1.0, 0.0, 0.0])
-        assert congestion_of(f)[0] == pytest.approx(1.0)
+        # Edge 6, the original edge of the arc 2 -> 1, carries s-t flow from
+        # 1 to 2, against its orientation.
+        G = DirectedNetwork(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)], 0, 2)
+        net = symmetrize(G, 0.2)
+        result, cong, _ = oracle_step(net, np.ones(net.edge_count), 5.0)
+        assert result.flow.values[6] < 0
+        assert cong == pytest.approx(np.abs(result.flow.values) / net.parent_capacity)
 
     def test_oracle_congestion_within_width(self):
         net = single_arc_net()
-        params = OracleParams.for_network(net)
-        out = oracle_step(net, WeightVector.ones(3), 3.5, params)
-        assert out.congestion == pytest.approx([7 / 6] * 3, rel=1e-9)
-        assert out.diagnostics.max_congestion <= params.width
-        assert params.width == pytest.approx(math.sqrt(54), rel=1e-12)
+        _, cong, diag = oracle_step(net, np.ones(3), 3.5)
+        assert cong == pytest.approx([7 / 6] * 3, rel=1e-9)
+        assert diag.max_congestion <= oracle_width(net)
+        assert oracle_width(net) == pytest.approx(math.sqrt(54), rel=1e-12)
 
 
 class TestUpdateWeights:
     def test_zero_congestion_no_change(self):
-        p = OracleParams(0.3, 4)
-        w = WeightVector(np.array([1.0, 2.0, 3.0]))
-        w2 = update_weights(w, np.zeros(3), p)
-        assert w2.values == pytest.approx(w.values)
+        width = math.sqrt(27 * 4 / 0.3)
+        w = np.array([1.0, 2.0, 3.0])
+        w2 = update_weights(w, np.zeros(3), 0.3, width)
+        assert w2 == pytest.approx(w)
 
     def test_full_width_congestion(self):
-        p = OracleParams(0.3, 4)
-        w = WeightVector(np.array([1.0]))
-        w2 = update_weights(w, np.array([p.width]), p)
-        assert w2.values[0] == pytest.approx(1.3, rel=1e-12)
+        width = math.sqrt(27 * 4 / 0.3)
+        w = np.array([1.0])
+        w2 = update_weights(w, np.array([width]), 0.3, width)
+        assert w2[0] == pytest.approx(1.3, rel=1e-12)
 
     def test_worked_example(self):
         # eps=0.5, congestion 7/6 on unit weights: the step normalizer is
         # max(1 + eps, 7/6) = 1.5, well below the width sqrt(54)
-        p = OracleParams(0.5, 1)
-        w = WeightVector(np.ones(3))
-        w2 = update_weights(w, np.full(3, 7 / 6), p)
+        w = np.ones(3)
+        w2 = update_weights(w, np.full(3, 7 / 6), 0.5, math.sqrt(54))
         expected = 1 + 0.5 * (7 / 6) / 1.5
-        assert w2.values == pytest.approx([expected] * 3, rel=1e-12)
+        assert w2 == pytest.approx([expected] * 3, rel=1e-12)
         assert expected == pytest.approx(1.3888889, abs=1e-6)
 
     def test_width_violation_raises(self):
-        p = OracleParams(0.5, 1)
-        w = WeightVector(np.ones(3))
+        width = math.sqrt(54)
+        w = np.ones(3)
         with pytest.raises(WidthViolationError):
-            update_weights(w, np.array([0.0, 0.0, p.width * 1.01]), p)
+            update_weights(w, np.array([0.0, 0.0, width * 1.01]), 0.5, width)
 
 
 class TestSolveBoundedFlow:
@@ -266,7 +244,7 @@ class TestSolveBoundedFlow:
         eps = 0.025
         net = symmetrize(G, eps)
         target = 2 * 2.788 + (1 + eps) * G.total_capacity()
-        res = solve_bounded_flow(net, target, eps)
+        res = solve_bounded_flow(net, target)
         assert res.succeeded
         assert check_bounded_flow(net, res.flow.values, target)
 
@@ -279,14 +257,16 @@ class TestSolveBoundedFlow:
         target = 2 * 2.788 + (1 + eps) * G.total_capacity()
         resumed, whole = [], []
         run = bounded_flow_attempts(
-            net, target, eps, 25, lambda i, d: resumed.append(d.energy)
+            net, target, max_iterations=25, trace=lambda i, d: resumed.append(d.energy)
         )
         first = next(run)
         assert first.failure == "iteration-budget" and first.iterations == 50
         assert not first.certified_infeasible
         second = next(run)
         assert second.failure == "iteration-budget" and second.iterations == 100
-        once = solve_bounded_flow(net, target, eps, 50, lambda i, d: whole.append(d.energy))
+        once = solve_bounded_flow(
+            net, target, max_iterations=50, trace=lambda i, d: whole.append(d.energy)
+        )
         assert once.iterations == 100
         assert resumed == whole
 
@@ -319,32 +299,56 @@ class TestStartWeights:
         exps = data.draw(
             st.lists(st.floats(-6, 2), min_size=net.edge_count, max_size=net.edge_count)
         )
-        start = WeightVector(10.0 ** np.array(exps))
+        start = 10.0 ** np.array(exps)
         calls = []
         run = bounded_flow_attempts(
-            net, target, eps, 25, lambda i, d: calls.append(d), weights=start
+            net, target, max_iterations=25, trace=lambda i, d: calls.append(d), weights=start
         )
         for result in itertools.islice(run, 2):  # one resume, as the driver does
             if result.failure == "oracle-energy":
                 assert target > maxval
             if result.succeeded:
                 assert check_bounded_flow(net, result.flow.values, target)
-            assert float(result.weights.values.max()) == pytest.approx(1.0, rel=1e-12)
+            assert float(result.weights.max()) == pytest.approx(1.0, rel=1e-12)
         # The first call is priced by the start, and totals are the start's.
-        assert calls[0].weight_total == pytest.approx(start.total, rel=1e-12)
+        assert calls[0].weight_total == pytest.approx(start.sum(), rel=1e-12)
 
     def test_unit_start_is_the_default(self):
         net = symmetrize(random_sized_network(1016, 21, 49), 0.025)
         target = 2 * 2.788 + (1 + 0.025) * net.arc_capacities.sum()
         default, given_ones = [], []
-        next(bounded_flow_attempts(net, target, 0.025, 10, lambda i, d: default.append(d)))
         next(
             bounded_flow_attempts(
-                net, target, 0.025, 10, lambda i, d: given_ones.append(d),
-                weights=WeightVector.ones(net.edge_count),
+                net, target, max_iterations=10, trace=lambda i, d: default.append(d)
+            )
+        )
+        next(
+            bounded_flow_attempts(
+                net, target, max_iterations=10, trace=lambda i, d: given_ones.append(d),
+                weights=np.ones(net.edge_count),
             )
         )
         assert default == given_ones
+
+    @pytest.mark.parametrize(
+        "start",
+        [np.ones(2), np.array([1.0, 0.0, 1.0]), np.array([1.0, -2.0, 1.0]),
+         np.array([1.0, np.nan, 1.0]), np.array([1.0, np.inf, 1.0])],
+        ids=["wrong-length", "zero", "negative", "nan", "inf"],
+    )
+    def test_rejects_invalid_start(self, start):
+        net = single_arc_net()
+        with pytest.raises(ValueError):
+            next(bounded_flow_attempts(net, 3.5, weights=start))
+
+    def test_stale_positional_epsilon_fails(self):
+        # The network carries epsilon; a leftover positional eps must not
+        # bind to the iteration cap.
+        net = single_arc_net()
+        with pytest.raises(TypeError):
+            solve_bounded_flow(net, 3.5, 0.5)
+        with pytest.raises(TypeError):
+            next(bounded_flow_attempts(net, 3.5, 0.5))
 
 
 class TestOracleInequalities:
@@ -356,48 +360,48 @@ class TestOracleInequalities:
         if fstar <= 0:
             return None
         net = symmetrize(G, eps)
-        params = OracleParams.for_network(net, eps)
+        width = oracle_width(net)
         target = 2 * fstar + (1 + eps) * G.total_capacity()
         records = []
 
-        w = WeightVector.ones(net.edge_count)
+        w = np.ones(net.edge_count)
         for i in range(40):
-            out = oracle_step(net, w, target, params)
-            if out.verdict is Verdict.FAIL:
+            _, cong, diag = oracle_step(net, w, target)
+            if diag.energy > diag.threshold:
                 break
-            records.append((i, w, out))
-            w = update_weights(w, out.congestion, params)
-        return net, params, records
+            records.append((i, w, cong, diag))
+            w = update_weights(w, cong, eps, width)
+        return net, width, records
 
     @pytest.mark.parametrize("seed,eps", [(3, 0.1), (7, 0.25), (15, 0.4)])
     def test_energy_identity_and_threshold(self, seed, eps):
         got = self._run(seed, eps)
         if got is None:
             pytest.skip("zero max flow")
-        net, params, records = got
-        for i, w, out in records:
-            reg = eps * w.total / (3 * net.edge_count)
-            weighted = float(np.sum((w.values + reg) * out.congestion**2))
-            assert weighted == pytest.approx(out.diagnostics.energy, rel=1e-9)
-            assert out.diagnostics.energy <= out.diagnostics.threshold
+        net, width, records = got
+        for i, w, cong, diag in records:
+            reg = eps * w.sum() / (3 * net.edge_count)
+            weighted = float(np.sum((w + reg) * cong**2))
+            assert weighted == pytest.approx(diag.energy, rel=1e-9)
+            assert diag.energy <= diag.threshold
 
     @pytest.mark.parametrize("seed,eps", [(3, 0.1), (7, 0.25), (15, 0.4)])
     def test_first_iteration_weighted_congestion(self, seed, eps):
         got = self._run(seed, eps)
         if got is None:
             pytest.skip("zero max flow")
-        net, params, records = got
-        i, w, out = records[0]
-        assert out.diagnostics.weighted_congestion < (1 + eps) * w.total
+        net, width, records = got
+        i, w, cong, diag = records[0]
+        assert diag.weighted_congestion < (1 + eps) * w.sum()
 
     @pytest.mark.parametrize("seed,eps", [(3, 0.1), (7, 0.25), (15, 0.4)])
     def test_width_bound(self, seed, eps):
         got = self._run(seed, eps)
         if got is None:
             pytest.skip("zero max flow")
-        net, params, records = got
-        for _, _, out in records:
-            assert out.diagnostics.max_congestion <= params.width * (1 + 1e-9)
+        net, width, records = got
+        for _, _, _, diag in records:
+            assert diag.max_congestion <= width * (1 + 1e-9)
 
     def test_energy_at_most_exact_flow_energy(self):
         # solver energy is within (1 + eps/10) of any conserving flow's
@@ -410,19 +414,18 @@ class TestOracleInequalities:
         net = symmetrize(G, eps)
         maxval, witness = undirected_max_flow_witness(net)
         target = min(2 * fstar + (1 + eps) * G.total_capacity(), maxval)
-        params = OracleParams.for_network(net, eps)
-        w = WeightVector.ones(net.edge_count)
-        out = oracle_step(net, w, target, params)
+        w = np.ones(net.edge_count)
+        _, _, diag = oracle_step(net, w, target)
         r = compute_resistances(net, w, eps)
         scaled = witness.values * (target / maxval)
         witness_energy = float(np.sum(r * scaled * scaled))
-        assert out.diagnostics.energy <= (1 + eps / 10) * witness_energy * (1 + 1e-9)
+        assert diag.energy <= (1 + eps / 10) * witness_energy * (1 + 1e-9)
 
 
 def test_iteration_schedule_formula():
     net = single_arc_net(eps=0.5)
     expected = math.ceil(2 * math.sqrt(54) * math.log(3) / 0.25)
-    assert iteration_schedule(net, 0.5) == expected
+    assert iteration_schedule(net) == expected
 
 
 def test_check_bounded_flow_rejects_bad_value():

@@ -197,10 +197,10 @@ def test_signed_residuals_sum_to_zero(seed, data):
 def test_congestion_uses_parent_capacity():
     G = DirectedNetwork(3, [(0, 1, 2.0), (1, 2, 4.0)], 0, 2)
     net = symmetrize(G, 0.25)
-    from emaxflow.mwu import congestion_of
+    from emaxflow.mwu import oracle_step
 
-    f = FlowAssignment(net, [0.5, 1.0, 1.0, 2.0, 2.0, 2.0])
-    cong = congestion_of(f)
+    result, cong, _ = oracle_step(net, np.ones(net.edge_count), 8.0)
     # all three edges of each arc divide by the arc's original capacity
-    assert cong[:3] == pytest.approx([0.25, 0.5, 0.5])
-    assert cong[3:] == pytest.approx([0.5, 0.5, 0.5])
+    parent = np.array([2.0, 2.0, 2.0, 4.0, 4.0, 4.0])
+    assert (result.flow.values != 0).all()
+    assert cong == pytest.approx(np.abs(result.flow.values) / parent, rel=1e-12)
