@@ -230,10 +230,10 @@ def _trace_line(probe: int, iteration: int, diag: OracleDiagnostics) -> dict:
     return {
         "probe": probe,
         "iter": iteration,
-        "energy": _round12(diag.energy),
-        "threshold": _round12(diag.threshold),
+        "energy": _round12(min(diag.energy, 1e308)),
+        "threshold": _round12(min(diag.threshold, 1e308)),
         "max_cong": _round12(diag.max_congestion),
-        "weighted_cong": _round12(diag.weighted_congestion),
+        "weighted_cong": _round12(min(diag.weighted_congestion, 1e308)),
         "weight_total": _round12(min(diag.weight_total, 1e308)),
     }
 

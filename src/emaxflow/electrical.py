@@ -6,10 +6,18 @@ residual contract.  Because the iterate is only approximately conserving,
 `_repair_values` afterwards routes the leftover vertex residuals along a
 fixed spanning tree so the returned flow conserves exactly and has exactly
 the requested value.
+
+Everything that depends only on the network is built once per network and
+reused by every call: the component, the Laplacian's assembly slots, one
+`csr_matrix` whose entries each sparse call replaces, and the spanning
+tree's levels, along which the repair pushes one vectorized step per depth.
+The per-call work is the same floating-point operations as the plain loops
+kept in the tests, so the results are the same bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,32 +39,43 @@ class RepairError(RuntimeError):
 
 
 def _pcg(
-    A: sp.csr_matrix, b: np.ndarray, x: np.ndarray, atol: float
+    A: sp.csr_matrix | np.ndarray, b: np.ndarray, x: np.ndarray, atol: float
 ) -> tuple[np.ndarray, int, float]:
-    """Jacobi-preconditioned CG, iterates projected against the constant vector."""
-    max_iter = 100 * len(b) + 2000
+    """Jacobi-preconditioned CG, iterates projected against the constant vector.
+
+    Each step does its vector updates in place through reused buffers; the
+    floating-point operations, and so the bits, are those of the plain
+    expressions ``x += alpha * p``, ``r -= r.mean()``, ``np.linalg.norm(r)``
+    and ``p = z + beta * p``.
+    """
+    n = len(b)
+    max_iter = 100 * n + 2000
     inv_diag = 1.0 / A.diagonal()
     r = b - A @ x
-    r -= r.mean()
-    resnorm = float(np.linalg.norm(r))
+    r -= np.add.reduce(r) / n
+    resnorm = math.sqrt(r @ r)
     if resnorm <= atol:
         return x, 0, resnorm
     z = inv_diag * r
     p = z.copy()
+    step = np.empty(n)
     rz = float(r @ z)
     for k in range(1, max_iter + 1):
         Ap = A @ p
         alpha = rz / float(p @ Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        r -= r.mean()
-        resnorm = float(np.linalg.norm(r))
+        np.multiply(p, alpha, out=step)
+        x += step
+        np.multiply(Ap, alpha, out=step)
+        r -= step
+        r -= np.add.reduce(r) / n
+        resnorm = math.sqrt(r @ r)
         if resnorm <= atol:
-            x -= x.mean()
+            x -= np.add.reduce(x) / n
             return x, k, resnorm
-        z = inv_diag * r
+        np.multiply(inv_diag, r, out=z)
         rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     raise ConvergenceError(
         f"conjugate gradient did not reach tolerance {atol:.3e} in {max_iter} "
@@ -72,51 +91,42 @@ def _repair_values(net: SymmetrizedNetwork, vals: np.ndarray, value: float) -> n
     exceeds 10% of that edge's capacity, which signals the linear solve was
     far too loose.
     """
-    resid = net.incidence @ vals
-    target = np.zeros(net.vertex_count)
-    target[net.source] = value
-    target[net.sink] = -value
-    mismatch = resid - target
+    ctx = _st_context(net)
+    mismatch = net.incidence @ vals
+    mismatch[net.source] -= value
+    mismatch[net.sink] += value
 
-    order, parent_vertex, parent_edge = net.spanning_tree
-    in_tree = np.zeros(net.vertex_count, dtype=bool)
-    in_tree[order] = True
-    outside = ~in_tree
-    if outside.any():
-        worst = float(np.abs(mismatch[outside]).max())
+    if len(ctx.outside):
+        worst = float(np.abs(mismatch[ctx.outside]).max())
         scale = max(1.0, abs(value))
         if worst > 1e-9 * scale:
             raise RepairError(
                 f"residual {worst:.3e} outside the s-t component cannot be repaired"
             )
 
-    # Push each vertex's surplus toward the root (the source), leaves first,
-    # over Python floats.  Every tree edge is the parent edge of exactly one
-    # vertex, so it takes at most one push, and one fancy-indexed add applies
-    # them all: the same single IEEE addition per edge as pushing in place.
-    # Zero pushes are skipped so that a -0.0 edge value stays -0.0.
-    mis = mismatch.tolist()
-    parent = parent_vertex.tolist()
-    pushed: list[int] = []
-    pushes: list[float] = []
-    for v in order[:0:-1].tolist():  # order[0] is the root
-        push = -mis[v]  # flow to send v -> parent
-        if push == 0.0:
-            continue
-        mis[parent[v]] -= push
-        pushed.append(v)
-        pushes.append(push)
-    verts = np.array(pushed, dtype=np.int64)
-    edges = parent_edge[verts]
-    step = np.array(pushes)
-    step[net.tails[edges] != verts] *= -1.0
+    # Push each vertex's surplus toward the root (the source), leaves first:
+    # one step per tree depth, deepest first.  A vertex's children lie one
+    # level deeper, so its surplus is complete when its level comes, and
+    # `np.subtract.at` adds each parent's pushes in reversed BFS order, as
+    # a vertex-by-vertex loop would.  A zero push changes no nonzero
+    # surplus, and a zero surplus pushes nothing.  Every tree edge takes at
+    # most one push; zero pushes are skipped there so that a -0.0 edge
+    # value stays -0.0.
     vals = np.array(vals)
-    vals[edges] += step
     corrections = np.zeros(net.edge_count)
-    corrections[edges] = step
+    for verts, parents, edges, signs in ctx.tree_levels:
+        push = -mismatch[verts]  # flow to send each vertex -> its parent
+        if parents is not None:
+            np.subtract.at(mismatch, parents, push)
+        if not push.all():
+            moved = push != 0.0
+            push, edges, signs = push[moved], edges[moved], signs[moved]
+        step = push * signs
+        vals[edges] += step
+        corrections[edges] = step
 
     if net.edge_count:
-        limit = 0.1 * net.capacities
+        limit = ctx.repair_limit
         if (np.abs(corrections) > limit).any():
             k = int(np.argmax(np.abs(corrections) - limit))
             raise RepairError(
@@ -143,19 +153,24 @@ _DENSE_LIMIT = 600
 
 
 class _StSolveContext:
-    """Cached s-t component restriction and Laplacian assembly pattern.
+    """Cached s-t component restriction, Laplacian and tree-repair plan.
 
     The support graph of a `SymmetrizedNetwork` never changes (resistances
-    are always strictly positive), so the component and the scatter pattern
-    can be built once and reused across every oracle call.  The component
-    is the vertex set of the BFS tree that `_repair_values` routes along.
-    Both paths assemble with one `np.bincount` into precomputed slots: a
-    flat dense index, or the CSR slot each term sums into.
+    are always strictly positive), so the component, the scatter pattern
+    and the levels of the spanning tree can be built once and reused
+    across every oracle call.  The component is the vertex set of the BFS
+    tree that `_repair_values` routes along.  Both Laplacian paths assemble
+    with one `np.bincount` into precomputed slots: a flat dense index, or
+    the CSR slot each term sums into.  The sparse path keeps one
+    `csr_matrix` and gives it each call's entries.
     """
 
     def __init__(self, net: SymmetrizedNetwork):
         in_tree = np.zeros(net.vertex_count, dtype=bool)
         in_tree[net.spanning_tree[0]] = True
+        self.outside = np.flatnonzero(~in_tree)
+        self.repair_limit = 0.1 * net.capacities
+        self.tree_levels = _tree_levels(net)
         idx = np.flatnonzero(in_tree)
         pos = np.full(net.vertex_count, -1, dtype=np.int64)
         pos[idx] = np.arange(len(idx))
@@ -180,11 +195,11 @@ class _StSolveContext:
             pattern = sp.coo_matrix(
                 (np.ones(len(rows)), (rows, cols)), shape=(self.n_c, self.n_c)
             ).tocsr()
-            self._indptr, self._indices = pattern.indptr, pattern.indices
+            self._csr = pattern
             # Rows ascend and each row's columns are sorted, so the flat
             # indices of the stored entries ascend too.
-            row_of = np.repeat(np.arange(self.n_c), np.diff(self._indptr))
-            self._slot = np.searchsorted(row_of * self.n_c + self._indices, flat)
+            row_of = np.repeat(np.arange(self.n_c), np.diff(pattern.indptr))
+            self._slot = np.searchsorted(row_of * self.n_c + pattern.indices, flat)
 
     def laplacian(self, r: np.ndarray):
         g = 1.0 / r[self.keep]
@@ -195,8 +210,36 @@ class _StSolveContext:
             # the same terms in the same order as np.add.at over the four
             # blocks in turn would.
             return np.bincount(self._flat, data, n * n).reshape(n, n)
-        summed = np.bincount(self._slot, data, len(self._indices))
-        return sp.csr_matrix((summed, self._indices, self._indptr), shape=(n, n))
+        # The same matrix object each call, given fresh entries: the matrix
+        # a call returns is valid only until the next call.
+        self._csr.data = np.bincount(self._slot, data, len(self._csr.indices))
+        return self._csr
+
+
+def _tree_levels(
+    net: SymmetrizedNetwork,
+) -> list[tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]]:
+    """The BFS tree's non-root vertices by depth, deepest first, each level
+    in reversed BFS order, as (vertices, parents, parent edges, signs).
+    A sign is +1.0 where the vertex is its parent edge's tail, so that a
+    push toward the parent adds to the edge.  Depth 1 carries no parents:
+    its pushes go to the root, whose surplus the repair never reads."""
+    order, parent_vertex, parent_edge = net.spanning_tree
+    parent = parent_vertex.tolist()
+    depth = [0] * net.vertex_count
+    for v in order[1:].tolist():
+        depth[v] = depth[parent[v]] + 1
+    rev = order[:0:-1]
+    rev_depth = np.array(depth)[rev]
+    levels = []
+    for verts in np.split(rev, np.flatnonzero(np.diff(rev_depth)) + 1):
+        if not len(verts):
+            continue
+        edges = parent_edge[verts]
+        signs = np.where(net.tails[edges] == verts, 1.0, -1.0)
+        parents = parent_vertex[verts] if depth[int(verts[0])] > 1 else None
+        levels.append((verts, parents, edges, signs))
+    return levels
 
 
 def _st_context(net: SymmetrizedNetwork) -> _StSolveContext:
@@ -214,8 +257,19 @@ def electrical_st_flow(
     tol: float,
     x0: np.ndarray | None = None,
 ) -> ElectricalSolveResult:
-    """Solve, induce the flow, and repair conservation, in one call."""
+    """Solve, induce the flow, and repair conservation, in one call.
+
+    ``resistances`` holds one finite, strictly positive resistance per edge,
+    and ``x0``, a start for the potentials, one entry per vertex; anything
+    else raises `ValueError`.
+    """
     r = np.asarray(resistances, dtype=np.float64)
+    if r.shape != (net.edge_count,):
+        raise ValueError(f"need {net.edge_count} resistances, got shape {r.shape}")
+    if len(r) and not (r.min() > 0.0 and r.max() < math.inf):
+        raise ValueError("resistances must be finite and strictly positive")
+    if x0 is not None and np.shape(x0) != (net.vertex_count,):
+        raise ValueError(f"need {net.vertex_count} start potentials, got shape {np.shape(x0)}")
     if value == 0.0:
         zero = FlowAssignment.zeros(net)
         return ElectricalSolveResult(zero, np.zeros(net.vertex_count), 0.0, 0, 0.0)
@@ -228,9 +282,9 @@ def electrical_st_flow(
     b = np.zeros(ctx.n_c)
     b[ctx.s_pos] = value
     b[ctx.t_pos] = -value
-    x = np.zeros(ctx.n_c) if x0 is None else np.asarray(x0, dtype=np.float64)[ctx.idx].copy()
-    x -= x.mean()
-    xc, iters, resnorm = _pcg(A, b, x, tol * float(np.linalg.norm(b)))
+    x = np.zeros(ctx.n_c) if x0 is None else np.asarray(x0, dtype=np.float64)[ctx.idx]
+    x -= np.add.reduce(x) / ctx.n_c
+    xc, iters, resnorm = _pcg(A, b, x, tol * math.sqrt(b @ b))
     phi = np.zeros(net.vertex_count)
     phi[ctx.idx] = xc
     phi -= phi[net.sink]

@@ -16,7 +16,7 @@ so the start changes what a run costs, not what it concludes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -90,8 +90,14 @@ def update_weights(
 
 @dataclass(frozen=True)
 class OracleDiagnostics:
-    """What one oracle call measured; it failed if energy > threshold.  The weight
-    total is relative to the weights the run started from (unit unless given)."""
+    """What one oracle call measured; it failed if energy > threshold.
+
+    `oracle_step` measures against the weights it is given.  The records a
+    run passes to its trace callback are rescaled to the weights the run
+    started from (unit unless given): the run keeps its weights at max 1,
+    and each record's energy, threshold, weighted congestion and weight
+    total are multiplied by the factor that renormalization took out.  Max
+    congestion depends on no weights."""
 
     energy: float
     threshold: float
@@ -105,10 +111,9 @@ def oracle_step(
     weights: np.ndarray,
     target_value: float,
     x0: np.ndarray | None = None,
-    weight_scale: float = 1.0,
 ) -> tuple[ElectricalSolveResult, np.ndarray, OracleDiagnostics]:
     """One oracle call: the electrical flow priced by ``weights``, its congestion
-    |f| / u_parent, and diagnostics, whose weight total is scaled by ``weight_scale``."""
+    |f| / u_parent, and diagnostics measured against ``weights``."""
     if target_value < 0:
         raise ValueError("target_value must be nonnegative")
     eps = net.epsilon
@@ -122,9 +127,20 @@ def oracle_step(
         threshold=threshold,
         max_congestion=float(cong.max()) if len(cong) else 0.0,
         weighted_congestion=float(np.dot(weights, cong)),
-        weight_total=float(weights.sum()) * weight_scale,
+        weight_total=float(weights.sum()),
     )
     return result, cong, diag
+
+
+def _rescaled(diag: OracleDiagnostics, scale: float) -> OracleDiagnostics:
+    """``diag`` with its weight-priced fields multiplied by ``scale``."""
+    return replace(
+        diag,
+        energy=diag.energy * scale,
+        threshold=diag.threshold * scale,
+        weighted_congestion=diag.weighted_congestion * scale,
+        weight_total=diag.weight_total * scale,
+    )
 
 
 def check_bounded_flow(
@@ -283,14 +299,14 @@ def bounded_flow_attempts(
             allowed += 2 * budget
         i += 1
         try:
-            result, cong, diag = oracle_step(
-                net, weights, target_value, phi_prev, math.exp(log_scale)
-            )
+            result, cong, diag = oracle_step(net, weights, target_value, phi_prev)
         except DisconnectedNetworkError:
             yield BoundedFlowResult(None, i, "disconnected", weights)
             return
         if trace is not None:
-            trace(i, diag)
+            trace(i, _rescaled(diag, math.exp(log_scale)))
+        # The verdict compares the unscaled figures, which rescaling could
+        # round into a tie.
         if diag.energy > diag.threshold:
             yield BoundedFlowResult(None, i, "oracle-energy", weights)
             return

@@ -4,8 +4,9 @@ Everything here deliberately avoids the library's solution paths: min cuts
 by subset enumeration, max flows by bounded integral enumeration, minimum
 energies by dense least squares on the Laplacian pseudoinverse, whole-network
 Laplacians as ``B diag(1/r) B^T``.  The other ``*_reference`` functions keep
-the library's first, plain loops for cycle cancelling, tree repair and dense
-Laplacian assembly; the library's faster versions must return the same bits.
+the library's first, plain versions of cycle cancelling, tree repair, dense
+and sparse Laplacian assembly and the conjugate-gradient loop; the library's
+faster versions must return the same bits.
 """
 
 from __future__ import annotations
@@ -13,8 +14,15 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import scipy.sparse as sp
 
-from emaxflow import DirectedNetwork, FlowAssignment, RepairError, SymmetrizedNetwork
+from emaxflow import (
+    ConvergenceError,
+    DirectedNetwork,
+    FlowAssignment,
+    RepairError,
+    SymmetrizedNetwork,
+)
 from emaxflow.network import Network
 
 
@@ -371,3 +379,47 @@ def dense_laplacian_reference(ctx, r: np.ndarray) -> np.ndarray:
     np.add.at(L, (ctx.kt, ctx.kh), -g)
     np.add.at(L, (ctx.kh, ctx.kt), -g)
     return L
+
+
+def sparse_laplacian_reference(ctx, r: np.ndarray) -> sp.csr_matrix:
+    """The sparse s-t Laplacian of an `electrical._StSolveContext`, summed
+    into its CSR slots and built as a new `csr_matrix`, as first written.
+    The library must match it bit for bit."""
+    g = 1.0 / r[ctx.keep]
+    data = np.concatenate([g, g, -g, -g])
+    indices, indptr = ctx._csr.indices, ctx._csr.indptr
+    summed = np.bincount(ctx._slot, data, len(indices))
+    return sp.csr_matrix((summed, indices.copy(), indptr.copy()), shape=(ctx.n_c, ctx.n_c))
+
+
+def pcg_reference(A, b: np.ndarray, x: np.ndarray, atol: float):
+    """`electrical._pcg` as first written, with a new array per vector
+    operation.  The library must match it bit for bit."""
+    max_iter = 100 * len(b) + 2000
+    inv_diag = 1.0 / A.diagonal()
+    r = b - A @ x
+    r -= r.mean()
+    resnorm = float(np.linalg.norm(r))
+    if resnorm <= atol:
+        return x, 0, resnorm
+    z = inv_diag * r
+    p = z.copy()
+    rz = float(r @ z)
+    for k in range(1, max_iter + 1):
+        Ap = A @ p
+        alpha = rz / float(p @ Ap)
+        x += alpha * p
+        r -= alpha * Ap
+        r -= r.mean()
+        resnorm = float(np.linalg.norm(r))
+        if resnorm <= atol:
+            x -= x.mean()
+            return x, k, resnorm
+        z = inv_diag * r
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise ConvergenceError(
+        f"conjugate gradient did not reach tolerance {atol:.3e} in {max_iter} "
+        f"iterations (residual {resnorm:.3e})"
+    )

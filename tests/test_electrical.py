@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from emaxflow import (
 )
 from emaxflow.electrical import (
     _DENSE_LIMIT,
+    _pcg,
     _repair_values,
     _st_context,
     default_solve_tolerance,
@@ -23,8 +26,10 @@ from oracles import (
     dense_laplacian_reference,
     laplacian_reference,
     min_energy_flow_dense,
+    pcg_reference,
     random_conserving_flow,
     repair_values_reference,
+    sparse_laplacian_reference,
 )
 
 
@@ -162,6 +167,31 @@ class TestSparsePath:
         rtol = 2 * int(degree.max()) * np.finfo(np.float64).eps
         assert (np.abs(L.data - ref.data) <= rtol * np.abs(ref.data)).all()
 
+    def test_laplacian_is_the_fresh_csr_matrix(self):
+        # One matrix object is given each call's entries; they must be the
+        # bits a newly built csr_matrix holds, whatever the call before.
+        net, r = self.network_and_resistances()
+        ctx = _st_context(net)
+        r2 = r[::-1].copy()
+        for rr in (r, r2, r):
+            L = ctx.laplacian(rr)
+            ref = sparse_laplacian_reference(ctx, rr)
+            assert np.array_equal(L.indptr, ref.indptr)
+            assert np.array_equal(L.indices, ref.indices)
+            assert np.array_equal(L.data, ref.data)
+            assert np.array_equal(L.diagonal(), ref.diagonal())
+
+    def test_reused_matrix_does_not_alias_results(self):
+        net, r1 = self.network_and_resistances()
+        r2 = r1[::-1].copy()
+        first = electrical_st_flow(net, r1, 3.0, 1e-8)
+        other = electrical_st_flow(net, r2, 3.0, 1e-8)
+        again = electrical_st_flow(net, r1, 3.0, 1e-8)
+        assert not np.array_equal(first.flow.values, other.flow.values)
+        assert np.array_equal(first.flow.values, again.flow.values)
+        assert np.array_equal(first.potentials, again.potentials)
+        assert (first.energy, first.iterations) == (again.energy, again.iterations)
+
     def test_contract_conservation_and_value(self):
         net, r = self.network_and_resistances()
         tol = 1e-8
@@ -171,6 +201,100 @@ class TestSparsePath:
         assert np.linalg.norm(L @ res.potentials - b) <= tol * np.linalg.norm(b) * (1 + 1e-9)
         assert res.flow.interior_residual_max() <= 1e-12
         assert res.flow.source_outflow() == pytest.approx(3.0, abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def sparse_case():
+    net, _ = TestSparsePath.network_and_resistances()
+    return net
+
+
+def _pcg_both(ctx, rng, r, value, tol, start):
+    """`_pcg` and the reference loop on the s-t Laplacian at ``r``, from
+    the same start: zeros, the solution at other resistances, or the
+    solution at ``r`` itself."""
+    b = np.zeros(ctx.n_c)
+    b[ctx.s_pos] = value
+    b[ctx.t_pos] = -value
+    atol = tol * math.sqrt(b @ b)
+    x0 = np.zeros(ctx.n_c)
+    if start != "cold":
+        nearby = r if start == "solved" else r * rng.uniform(0.5, 2.0, len(r))
+        x0, _, _ = pcg_reference(ctx.laplacian(nearby), b, x0, atol * 1e-3)
+    # Assembled after the start's solve: the sparse path reuses one matrix.
+    A = ctx.laplacian(r)
+    return _pcg(A, b, x0.copy(), atol), pcg_reference(A, b, x0.copy(), atol)
+
+
+class TestPcgMatchesReference:
+    """`_pcg` returns the plain loop's x, iteration count and residual, bit
+    for bit, on dense and sparse Laplacians, cold and warm."""
+
+    starts = st.sampled_from(["cold", "warm", "solved"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 5000),
+        spread=st.floats(0, 6, allow_nan=False),
+        value=st.floats(0.1, 50, allow_nan=False),
+        tol_exp=st.integers(-12, -4),
+        start=starts,
+    )
+    def test_dense(self, seed, spread, value, tol_exp, start):
+        net = symmetrize(nonempty_network(seed, n_min=3, n_max=30, m_max=120), 0.3)
+        ctx = _st_context(net)
+        assert ctx.connected and ctx.dense
+        rng = np.random.default_rng(seed)
+        r = np.exp(rng.uniform(-spread, spread, net.edge_count))
+        (x, k, res), (x_ref, k_ref, res_ref) = _pcg_both(ctx, rng, r, value, 10.0**tol_exp, start)
+        assert np.array_equal(x, x_ref)
+        assert (k, res) == (k_ref, res_ref)
+        if start == "solved":
+            assert k == 0
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 5000),
+        spread=st.floats(0, 3, allow_nan=False),
+        tol_exp=st.integers(-10, -5),
+        start=starts,
+    )
+    def test_sparse(self, sparse_case, seed, spread, tol_exp, start):
+        ctx = _st_context(sparse_case)
+        assert not ctx.dense
+        rng = np.random.default_rng(seed)
+        r = np.exp(rng.uniform(-spread, spread, sparse_case.edge_count))
+        (x, k, res), (x_ref, k_ref, res_ref) = _pcg_both(ctx, rng, r, 3.0, 10.0**tol_exp, start)
+        assert np.array_equal(x, x_ref)
+        assert (k, res) == (k_ref, res_ref)
+
+
+class TestRejectsBadInput:
+    """`electrical_st_flow` raises `ValueError` on inputs outside its contract."""
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0])
+    def test_nonpositive_resistance(self, bad):
+        net = single_edge_net()
+        with pytest.raises(ValueError, match="strictly positive"):
+            electrical_st_flow(net, np.array([2.0, bad, 1.0]), 1.0, 1e-10)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_resistance(self, bad):
+        net = single_edge_net()
+        with pytest.raises(ValueError, match="finite"):
+            electrical_st_flow(net, np.array([2.0, bad, 1.0]), 1.0, 1e-10)
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_wrong_resistance_count(self, count):
+        net = single_edge_net()
+        with pytest.raises(ValueError, match="3 resistances"):
+            electrical_st_flow(net, np.ones(count), 1.0, 1e-10)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_wrong_start_length(self, count):
+        net = single_edge_net()
+        with pytest.raises(ValueError, match="2 start potentials"):
+            electrical_st_flow(net, np.ones(3), 1.0, 1e-10, x0=np.zeros(count))
 
 
 class TestInducedFlow:
@@ -276,6 +400,17 @@ class TestRepairMatchesReference:
         out = _repair_values(net, vals, value)
         assert np.array_equal(out, ref)
         assert np.array_equal(np.signbit(out), np.signbit(ref))
+
+    def test_children_push_in_loop_order(self):
+        # Edge values as small as the pushes keep each push's last bits, so
+        # the order in which a parent sums its children's pushes shows in
+        # the result.  Several of these trees have a vertex below depth 1
+        # with three or more children.
+        for seed in range(40):
+            net = symmetrize(nonempty_network(seed, n_min=6, n_max=16, m_max=40), 0.3)
+            rng = np.random.default_rng(seed)
+            vals = rng.normal(0, 1, net.edge_count) * 10.0 ** rng.uniform(-8, -3, net.edge_count)
+            assert np.array_equal(_repair_values(net, vals, 0.0), repair_values_reference(net, vals, 0.0))
 
     def test_zero_pushes_keep_signed_zeros(self):
         net = symmetrize(nonempty_network(5, n_min=4), 0.3)

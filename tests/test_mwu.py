@@ -13,6 +13,7 @@ from emaxflow import (
     solve_bounded_flow,
     symmetrize,
 )
+from emaxflow import mwu
 from emaxflow.driver import undirected_max_flow_witness
 from emaxflow.mwu import (
     bounded_flow_attempts,
@@ -349,6 +350,51 @@ class TestStartWeights:
             solve_bounded_flow(net, 3.5, 0.5)
         with pytest.raises(TypeError):
             next(bounded_flow_attempts(net, 3.5, 0.5))
+
+
+class TestTraceScale:
+    """Trace records are priced by the run's true weights, though the run
+    keeps its weights renormalized to max 1."""
+
+    def test_records_share_the_start_scale(self, monkeypatch):
+        net = symmetrize(random_sized_network(1016, 21, 49), 0.025)
+        target = 2 * 2.788 + (1 + 0.025) * net.arc_capacities.sum()
+        measured = []
+
+        def spy(net_, weights, target_, x0=None):
+            result, cong, diag = oracle_step(net_, weights, target_, x0)
+            measured.append((cong, diag))
+            return result, cong, diag
+
+        monkeypatch.setattr(mwu, "oracle_step", spy)
+        records = []
+        result = next(
+            bounded_flow_attempts(
+                net, target, max_iterations=10, trace=lambda i, d: records.append(d)
+            )
+        )
+        assert len(records) == len(measured) >= 3
+        # Replay the run's weights without renormalizing them.
+        true_w = np.ones(net.edge_count)
+        width = oracle_width(net)
+        for (cong, raw), rec in zip(measured, records):
+            assert rec.weight_total == pytest.approx(true_w.sum(), rel=1e-9)
+            assert rec.weighted_congestion / rec.weight_total == pytest.approx(
+                true_w @ cong / true_w.sum(), rel=1e-9
+            )
+            assert rec.energy / rec.weight_total == pytest.approx(
+                raw.energy / raw.weight_total, rel=1e-12
+            )
+            assert rec.threshold / rec.weight_total == pytest.approx(
+                raw.threshold / raw.weight_total, rel=1e-12
+            )
+            assert rec.max_congestion == raw.max_congestion
+            true_w = update_weights(true_w, cong, net.epsilon, width)
+        # The run renormalized, and its verdicts are the unscaled ones.
+        assert records[-1].weight_total > 1.1 * measured[-1][1].weight_total
+        assert all(raw.energy <= raw.threshold for _, raw in measured[:-1])
+        failed = measured[-1][1].energy > measured[-1][1].threshold
+        assert failed == (result.failure == "oracle-energy")
 
 
 class TestOracleInequalities:
