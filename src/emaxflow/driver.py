@@ -1,23 +1,24 @@
-"""Binary search over target values, exact reference oracles, and reporting.
+"""Search over target values, exact reference oracles, and reporting.
 
 `approx_max_flow` probes candidate flow values F, asking the bounded-flow
 solver on the symmetrized network for value 2F + (1+eps')*total capacity and
-recovering a feasible directed flow from each success.  Probing narrows the
-bracket [best recovered value, certified-infeasible probe] until the relative
-gap closes.  Two things certify a probe value infeasible: an energy failure
-of the bounded-flow solver, and a cut.  Before the search one electrical
-solve at unit weights gives potentials whose best threshold cut bounds F*
-from above; recovery would turn a success at F into a feasible flow worth
-about F/(1+eps'), so a probe above (1+eps') times that cut fails without an
-oracle call.  A probe that exhausts its oracle budget is resumed once from
-its own state; if it is still unknown it caps where the search looks next,
-without narrowing the certified bracket.  The first probe's MWU run starts
-from unit weights; each later one starts from the final weights of the
-last probe that did not end in a certified failure.  Neither an energy
-failure nor a verified success depends on the start, so this changes only
-how many oracle calls a probe takes.  Each MWU run takes its accuracy
-from the symmetrized network, built at eps', and per-call trace lines are
-built only for an ``on_trace`` callback.
+recovering a feasible directed flow from each success.  The search keeps
+the best recovered flow and one top, which starts at the smaller of the
+source and sink cuts, and stops when the top is within a relative gap of
+the best value.  Every probe that gives no flow becomes the new top: one
+certified infeasible by a cut or an energy failure, one still unknown after
+its oracle budget is resumed once from its own state, and one whose flow
+recovery rejects.  Before the search one oracle call at unit weights gives
+potentials whose best threshold cut bounds F* from above; recovery would
+turn a success at F into a feasible flow worth about F/(1+eps'), so a
+probe above (1+eps') times that cut fails without an oracle call.
+Certified and unknown probes differ only in the warm start: the first
+probe's MWU run starts from unit weights, and each later one from the
+final weights of the last probe that did not end in a certified failure.
+Neither an energy failure nor a verified success depends on the start, so
+this changes only how many oracle calls a probe takes.  Each MWU run takes
+its accuracy from the symmetrized network, built at eps', and per-call
+trace lines are built only for an ``on_trace`` callback.
 `exact_max_flow` is a plain blocking-flow (Dinic) implementation used for
 upper bounds in reports and for verification.
 """
@@ -28,20 +29,19 @@ import itertools
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order
 
-from .electrical import default_solve_tolerance, electrical_st_flow
-from .mwu import OracleDiagnostics, bounded_flow_attempts, compute_resistances
+from .mwu import OracleDiagnostics, bounded_flow_attempts, oracle_step
 from .network import DirectedNetwork, FlowAssignment, SymmetrizedNetwork, symmetrize
 from .recovery import RecoveryError, RecoveryResult, recover_directed_flow
 
-#: F_hi never bisects below this fraction of its starting value, so searches
-#: on instances with max flow 0 terminate.
+#: The search stops once its top is within the gap of this fraction of the
+#: starting top, so searches on instances with max flow 0 terminate.
 _BISECTION_FLOOR = 2.0**-20
 
 _MAX_PROBES = 64
@@ -190,38 +190,19 @@ class SolveReport:
     upper_bound: Optional[float] = None
 
     def to_dict(self) -> dict:
-        return {
-            "instance": self.instance,
-            "n": self.n,
-            "m": self.m,
-            "epsilon": _round12(self.epsilon),
-            "approx_value": _round12(self.approx_value),
-            "exact_value": _round12(self.exact_value),
-            "ratio": _round12(self.ratio),
-            "search_iterations": self.search_iterations,
-            "oracle_calls": self.oracle_calls,
-            "mwu_iterations_total": self.mwu_iterations_total,
-            "fail_count": self.fail_count,
-            "wall_time_ms": _round12(self.wall_time_ms),
-            "upper_bound": _round12(self.upper_bound),
-        }
+        """Every field under its own name, floats to 12 significant digits."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = _round12(value) if "float" in str(f.type) else value
+        return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolveReport":
+        """The report `to_dict` gave; unknown keys are ignored, and a field
+        with a default, such as ``upper_bound``, may be absent."""
         return cls(
-            instance=d["instance"],
-            n=d["n"],
-            m=d["m"],
-            epsilon=d["epsilon"],
-            approx_value=d["approx_value"],
-            exact_value=d["exact_value"],
-            ratio=d["ratio"],
-            search_iterations=d["search_iterations"],
-            oracle_calls=d["oracle_calls"],
-            mwu_iterations_total=d["mwu_iterations_total"],
-            fail_count=d["fail_count"],
-            wall_time_ms=d["wall_time_ms"],
-            upper_bound=d.get("upper_bound"),
+            **{f.name: d[f.name] for f in fields(cls) if f.name in d or f.default is MISSING}
         )
 
 
@@ -310,9 +291,9 @@ def approx_max_flow(
 
     Internally splits the accuracy budget: the symmetrization, bounded-flow
     solver, and recovery all run at eps' = epsilon/4, and the value search
-    stops once its bracket is within a (1 + eps'/2)(1 + eps') factor.  The
-    returned flow is always feasible (capacities and conservation hold
-    exactly) regardless of approximation quality.
+    stops once its top is within a (1 + eps'/2)(1 + eps') factor of the
+    best recovered value.  The returned flow is always feasible (capacities
+    and conservation hold exactly) regardless of approximation quality.
 
     A probe value is certified infeasible in one of two ways: the
     bounded-flow solver fails on energy, or the value exceeds (1+eps') times
@@ -320,7 +301,10 @@ def approx_max_flow(
     best threshold cut over unit-weight electrical potentials
     (`_threshold_cut`).  A success at F would recover a feasible flow worth
     about F/(1+eps'), more than any cut carries, so such a probe is decided
-    without an oracle call.  ``report.upper_bound`` holds that bound.
+    without an oracle call.  ``report.upper_bound`` holds that bound.  A
+    probe still unknown after its resume, or whose flow recovery rejects,
+    lowers the top all the same: certified and unknown probes differ only
+    in the next probe's start weights.
 
     ``on_trace``, when given, receives one dict per oracle call (the
     ``--trace`` line); without it no per-call record is built.
@@ -348,81 +332,66 @@ def approx_max_flow(
     oracle_calls = 0
     fail_count = 0
 
-    f_hi = min(pruned.out_capacity(pruned.source), pruned.in_capacity(pruned.sink))
-    upper = f_hi
-    if f_hi > 0.0:
+    top = min(pruned.out_capacity(pruned.source), pruned.in_capacity(pruned.sink))
+    upper = top
+    if top > 0.0:
         net = symmetrize(pruned, eps_i)
         baseline = (1.0 + eps_i) * pruned.total_capacity()
         # Unit weights and the first probe's target: the very solve the
         # first probe's first oracle call makes.
-        phi = electrical_st_flow(
-            net,
-            compute_resistances(net, np.ones(net.edge_count), eps_i),
-            2.0 * (0.75 * f_hi) + baseline,
-            default_solve_tolerance(eps_i, net.edge_count),
-        ).potentials
-        upper = min(f_hi, _threshold_cut(pruned, phi))
+        target = 2.0 * (0.75 * top) + baseline
+        phi = oracle_step(net, np.ones(net.edge_count), target)[0].potentials
+        upper = min(top, _threshold_cut(pruned, phi))
         cut_limit = (1.0 + eps_i) * (1.0 + _CUT_MARGIN) * upper
-        floor = f_hi * _BISECTION_FLOOR
-        f_lo = 0.0
+        floor = top * _BISECTION_FLOOR
         # Recovery returns at least probe/(1+eps'), so the certified lower
         # bound trails the bracket top by that factor even at convergence;
         # the termination gap accounts for it, and a probe that fails to
         # raise the bound at all ends the search outright.
         gap = (1.0 + eps_i / 2.0) * (1.0 + eps_i)
-        # f_hi only drops to certified-infeasible probes; f_cap is the lowest
-        # probe that stayed unknown after its resume.  The search looks
-        # below both rather than stopping at the certified bracket.
-        f_cap = math.inf
         # Start weights for the next probe: the final weights of the last
         # probe that succeeded or stayed unknown, None (unit) before one.
         warm = None
-        while (top := min(f_hi, f_cap)) > gap * max(f_lo, floor) and probes < _MAX_PROBES:
+        while top > gap * max(best.value, floor) and probes < _MAX_PROBES:
             probes += 1
             # Bias probes toward the top of the bracket: a success then jumps
             # the certified bound most of the way to the top, and a failure
             # still shrinks the bracket by a quarter.
-            probe_value = 0.25 * f_lo + 0.75 * top
-            if probe_value > cut_limit:
-                # Certified by the cut, without an oracle call.
-                fail_count += 1
-                f_hi = probe_value
-                continue
-            attempts = bounded_flow_attempts(
-                net,
-                2.0 * probe_value + baseline,
-                max_iterations=max_iterations,
-                trace=None if on_trace is None else (
-                    lambda i, d, p=probes: on_trace(_trace_line(p, i, d))
-                ),
-                weights=warm,
-            )
-            result = next(attempts)
-            if not (result.succeeded or result.certified_infeasible):
-                # An exhausted budget proves nothing: resume the same run
-                # once from its weights, averages and potentials.
+            probe_value = 0.25 * best.value + 0.75 * top
+            rec = None
+            # A probe above the cut line fails without an oracle call.
+            if probe_value <= cut_limit:
+                attempts = bounded_flow_attempts(
+                    net,
+                    2.0 * probe_value + baseline,
+                    max_iterations=max_iterations,
+                    trace=None if on_trace is None else (
+                        lambda i, d, p=probes: on_trace(_trace_line(p, i, d))
+                    ),
+                    weights=warm,
+                )
                 result = next(attempts)
-            oracle_calls += result.iterations
-            if not result.certified_infeasible:
-                warm = result.weights
-            if result.succeeded:
-                try:
-                    rec = recover_directed_flow(result.flow, pruned)
-                except RecoveryError:
-                    fail_count += 1
-                    f_cap = probe_value
-                    continue
-                if rec.value > best.value:
-                    best = rec
-                if rec.value <= f_lo:
-                    break
-                f_lo = rec.value
-            else:
+                if not (result.succeeded or result.certified_infeasible):
+                    # An exhausted budget proves nothing: resume the same run
+                    # once from its weights, averages and potentials.
+                    result = next(attempts)
+                oracle_calls += result.iterations
+                if not result.certified_infeasible:
+                    warm = result.weights
+                if result.succeeded:
+                    try:
+                        rec = recover_directed_flow(result.flow, pruned)
+                    except RecoveryError:
+                        pass
+            if rec is None:
+                # Cut, energy or disconnected failure, a probe still unknown
+                # after its resume, or a failed recovery: look below it.
                 fail_count += 1
-                if result.certified_infeasible:
-                    f_hi = probe_value
-                else:
-                    f_cap = probe_value
+                top = probe_value
+            elif rec.value > best.value:
+                best = rec
+            else:
+                break
 
     flows = np.zeros(network.edge_count)
     flows[useful] = best.directed_flow.values

@@ -150,18 +150,20 @@ def check_bounded_flow(
     rtol: float = 1e-9,
 ) -> bool:
     """True iff ``values`` conserves, has value ``target_value``, and respects
-    |f| <= (1+eps) * u_parent per edge, all within relative ``rtol``."""
+    |f| <= (1+eps) * u_parent per edge, all within relative ``rtol``.
+
+    Each test is written so that a NaN fails it."""
     bound = (1.0 + net.epsilon) * net.parent_capacity
-    if len(values) and float(np.max(np.abs(values) - bound * (1.0 + rtol))) > 0.0:
+    if not (np.abs(values) <= bound * (1.0 + rtol)).all():
         return False
     resid = net.incidence @ values
     tol = rtol * max(1.0, abs(target_value))
-    if abs(resid[net.source] - target_value) > tol:
+    if not abs(resid[net.source] - target_value) <= tol:
         return False
     mask = np.ones(net.vertex_count, dtype=bool)
     mask[net.source] = False
     mask[net.sink] = False
-    if mask.any() and float(np.abs(resid[mask]).max()) > tol:
+    if mask.any() and not float(np.abs(resid[mask]).max()) <= tol:
         return False
     return True
 

@@ -41,11 +41,14 @@ def subtract_and_halve(flow: FlowAssignment, rtol: float = 1e-9) -> FlowAssignme
     For an input satisfying the bounded-flow contract, the output carries
     each original edge forward in [0, (1+eps)u], each link edge backward in
     [-(1+eps)u, 0], and has value (input value - (1+eps)*total capacity)/2.
-    Out-of-range outputs (beyond ``rtol``) raise `RecoveryError`.
+    A non-finite input or an out-of-range output (beyond ``rtol``) raises
+    `RecoveryError`.
     """
     net = flow.network
     if not isinstance(net, SymmetrizedNetwork):
         raise TypeError("subtract_and_halve expects a flow on a SymmetrizedNetwork")
+    if not np.isfinite(flow.values).all():
+        raise RecoveryError("input flow carries a non-finite value")
     vals = 0.5 * (flow.values - link_routing_values(net))
     bound = (1.0 + net.epsilon) * net.parent_capacity
     tol = rtol * np.maximum(1.0, bound)

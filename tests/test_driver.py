@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import emaxflow.driver
 from emaxflow import (
     DirectedNetwork,
+    RecoveryError,
     SolveReport,
     approx_max_flow,
     exact_max_flow,
@@ -306,6 +307,53 @@ class TestWarmStart:
             assert all(start is not last.weights for start, _ in runs)
 
 
+class TestRecoveryFailure:
+    def test_a_rejected_flow_lowers_the_top(self, monkeypatch):
+        # The second probe succeeds, but its recovery is made to fail: it
+        # counts as a failure, the next probe sits a quarter of the way
+        # from the best value up to it, and starts from its final weights.
+        G = diamond()
+        eps_i = 0.25 / 4
+        probes = []  # [probe value, start weights, last result] of each run
+        recovered = []  # (probe index, value or None when made to fail)
+        attempts = emaxflow.driver.bounded_flow_attempts
+        recover = emaxflow.driver.recover_directed_flow
+
+        def spy_attempts(net, target, *args, weights=None, **kwargs):
+            baseline = (1.0 + eps_i) * float(net.arc_capacities.sum())
+            run = [(target - baseline) / 2.0, weights, None]
+            probes.append(run)
+            for result in attempts(net, target, *args, weights=weights, **kwargs):
+                run[2] = result
+                yield result
+
+        def spy_recover(flow, network):
+            if len(recovered) == 1:
+                recovered.append((len(probes) - 1, None))
+                raise RecoveryError("made to fail")
+            rec = recover(flow, network)
+            recovered.append((len(probes) - 1, rec.value))
+            return rec
+
+        monkeypatch.setattr(emaxflow.driver, "bounded_flow_attempts", spy_attempts)
+        monkeypatch.setattr(emaxflow.driver, "recover_directed_flow", spy_recover)
+        rec, report = approx_max_flow(G, 0.25)
+
+        (first, best), (failed, none) = recovered[:2]
+        assert none is None and probes[failed][2].succeeded
+        assert len(probes) == report.search_iterations > failed + 1
+        returned = [value for _, value in recovered if value is not None]
+        assert report.fail_count == report.search_iterations - len(returned)
+        assert probes[failed + 1][0] == pytest.approx(
+            0.25 * best + 0.75 * probes[failed][0], rel=1e-12
+        )
+        assert probes[failed + 1][1] is probes[failed][2].weights
+        f = rec.directed_flow.values
+        assert rec.value == max(returned)
+        assert (f >= 0).all() and (f <= G.capacities).all()
+        assert rec.directed_flow.interior_residual_max() <= 1e-9 * max(1.0, rec.value)
+
+
 class TestApproxMaxFlow:
     def test_single_arc(self):
         G = DirectedNetwork(2, [(0, 1, 1.0)], 0, 1)
@@ -449,6 +497,16 @@ class TestSolveReport:
         assert d["upper_bound"] == 5.0
         del d["upper_bound"]
         assert SolveReport.from_dict(d).upper_bound is None
+
+    def test_additive_keys_are_harmless(self):
+        # A report from a later version may carry keys this one lacks, and a
+        # solve without --exact-check stores exact_value as null.
+        _, report = approx_max_flow(diamond(), 0.25, instance="d")
+        d = json.loads(json.dumps(report.to_dict()))
+        assert d["exact_value"] is None
+        loaded = SolveReport.from_dict({**d, "probes": [{"value": 3.75}]})
+        assert loaded.exact_value is None
+        assert loaded.to_dict() == d
 
 
 def test_package_surface():

@@ -480,3 +480,31 @@ def test_check_bounded_flow_rejects_bad_value():
     assert check_bounded_flow(net, good, 3.5)
     assert not check_bounded_flow(net, good, 3.6)
     assert not check_bounded_flow(net, np.array([1.6, 1.0, 0.9]), 3.5)
+
+
+class TestCheckBoundedFlowNonFinite:
+    # On the path 0 -> 1 -> 2 at eps 0.25 every comparison with NaN is
+    # False, so a test written as ``x > bound`` let an all-NaN flow pass.
+    net = symmetrize(DirectedNetwork(3, [(0, 1, 1.0), (1, 2, 1.0)], 0, 2), 0.25)
+    target = 2.0 * 0.5 + 1.25 * 2.0
+
+    def valid(self):
+        return np.array(solve_bounded_flow(self.net, self.target).flow.values)
+
+    def test_the_valid_flow_passes(self):
+        assert check_bounded_flow(self.net, self.valid(), self.target)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_all_entries(self, bad):
+        values = np.full(self.net.edge_count, bad)
+        assert not check_bounded_flow(self.net, values, self.target)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_entry(self, bad):
+        for k in range(self.net.edge_count):
+            values = self.valid()
+            values[k] = bad
+            assert not check_bounded_flow(self.net, values, self.target)
+
+    def test_nan_target(self):
+        assert not check_bounded_flow(self.net, self.valid(), np.nan)

@@ -256,3 +256,24 @@ class TestEndToEnd:
             assert is_acyclic_support(
                 cycle_cancel(subtract_and_halve(res.flow))
             )
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_all_entries_raise(self, bad):
+        G = DirectedNetwork(3, [(0, 1, 1.0), (1, 2, 1.0)], 0, 2)
+        net = symmetrize(G, 0.25)
+        f = FlowAssignment(net, np.full(net.edge_count, bad))
+        with pytest.raises(RecoveryError):
+            subtract_and_halve(f)
+        with pytest.raises(RecoveryError):
+            recover_directed_flow(f, G)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_entry_raises(self, bad):
+        G, net = single_arc()
+        for k in range(net.edge_count):
+            vals = np.array([1.0, 1.25, 1.25])
+            vals[k] = bad
+            with pytest.raises(RecoveryError):
+                recover_directed_flow(FlowAssignment(net, vals), G)
