@@ -152,7 +152,10 @@ def check_bounded_flow(
     """True iff ``values`` conserves, has value ``target_value``, and respects
     |f| <= (1+eps) * u_parent per edge, all within relative ``rtol``.
 
-    Each test is written so that a NaN fails it."""
+    Each test is written so that a NaN fails it, and a non-finite target
+    fails it too: its tolerance would be infinite."""
+    if not math.isfinite(target_value):
+        return False
     bound = (1.0 + net.epsilon) * net.parent_capacity
     if not (np.abs(values) <= bound * (1.0 + rtol)).all():
         return False
@@ -264,10 +267,10 @@ def bounded_flow_attempts(
     """
     eps = net.epsilon
     baseline = (1.0 + eps) * float(net.arc_capacities.sum())
-    if not target_value > baseline:
+    if not (math.isfinite(target_value) and target_value > baseline):
         raise ValueError(
-            f"target value {target_value} must exceed the boosted capacity total "
-            f"{baseline}"
+            f"target value {target_value} must be finite and exceed the boosted "
+            f"capacity total {baseline}"
         )
     width = oracle_width(net)
     budget = iteration_schedule(net)

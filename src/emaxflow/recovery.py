@@ -2,11 +2,22 @@
 
 Pipeline: subtract the canonical per-arc link routing and halve, cancel all
 directed cycles in the result, then read the original-edge flows back onto
-the arcs (scaling down once if any arc exceeds its capacity).
+the arcs.  If some arc exceeds its capacity, the arc flow is both scaled
+down once by the worst capacity ratio and decomposed into s-t paths, each
+pushed only up to the capacity the earlier paths left free (flow
+decomposition; Ahuja, Magnanti and Orlin, *Network Flows*, ch. 3); the
+larger of the two flows is kept.
+
+Which cycles are cancelled and which paths are cut first decide how much
+of the flow survives, so both walks take vertices and edges in an order
+read off the flow's values (`magnitude_order`, and the fullest arcs first
+in the path walk), not in id order.  A renumbered input then recovers the
+same flow, renumbered, up to ties and rounding.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +31,12 @@ class RecoveryError(ValueError):
 
 @dataclass(frozen=True)
 class RecoveryResult:
-    """A feasible directed flow extracted from the undirected solve."""
+    """A feasible directed flow extracted from the undirected solve.
+
+    ``scaled`` is true when the returned flow is the one scaled down by
+    ``max_capacity_ratio``, the worst arc-flow-to-capacity ratio before
+    recovery made the flow feasible.
+    """
 
     directed_flow: FlowAssignment
     value: float
@@ -64,12 +80,38 @@ def subtract_and_halve(flow: FlowAssignment, rtol: float = 1e-9) -> FlowAssignme
     return FlowAssignment(net, vals)
 
 
-def cycle_cancel(flow: FlowAssignment) -> FlowAssignment:
+def magnitude_order(flow: FlowAssignment) -> tuple[list[int], list[int]]:
+    """The flow's vertices by throughput (summed |flow| on their edges) and
+    its edges by |flow|, largest first, ties in id order: the ``roots``
+    and ``edges`` orders `recover_directed_flow` gives `cycle_cancel`.
+
+    Both orders come from the flow's values alone, so a renumbered copy of
+    a flow is read in the same order, up to ties.  Python's ``sorted``
+    orders them: a first NumPy sort would fault in code pages that show in
+    the solve's peak memory (see `driver._threshold_cut`).
+    """
+    net = flow.network
+    mag = np.abs(flow.values)
+    n = net.vertex_count
+    through = (np.bincount(net.tails, mag, n) + np.bincount(net.heads, mag, n)).tolist()
+    size = mag.tolist()
+    roots = sorted(range(n), key=through.__getitem__, reverse=True)
+    edges = sorted(range(len(size)), key=size.__getitem__, reverse=True)
+    return roots, edges
+
+
+def cycle_cancel(
+    flow: FlowAssignment,
+    roots: Sequence[int] | None = None,
+    edges: Sequence[int] | None = None,
+) -> FlowAssignment:
     """Remove all directed cycles from the flow's support, preserving value.
 
     Edges are oriented by the sign of their flow.  A depth-first search
-    from each root in id order, scanning each vertex's out-edges in index
-    order, finds a directed cycle and subtracts the cycle's minimum flow.
+    from each root in turn, scanning each vertex's out-edges in turn,
+    finds a directed cycle and subtracts the cycle's minimum flow.  Roots
+    are taken in the order ``roots`` and out-edges in the order ``edges``
+    lists them; by default roots in id order and edges in index order.
     No edge's magnitude ever increases, and each cancellation zeroes at
     least one edge, so this terminates with an acyclic support.
 
@@ -81,9 +123,10 @@ def cycle_cancel(flow: FlowAssignment) -> FlowAssignment:
     After a cancel the search retreats to the tail of the first emptied
     cycle edge; the path up to there is what a retreat to the cycle's
     entry vertex would rebuild.  So the result equals, bit for bit, that
-    of a search that rescans every vertex from its first edge and retreats
-    to the entry vertex (the tests keep one as a reference), at a cost of
-    O(m + total length of the cancelled cycles).
+    of a search in the same orders that rescans every vertex from its
+    first edge and retreats to the entry vertex (the tests keep one, in
+    the default orders, as a reference), at a cost of O(m + total length
+    of the cancelled cycles).
     """
     net = flow.network
     vals = np.array(flow.values)
@@ -96,17 +139,18 @@ def cycle_cancel(flow: FlowAssignment) -> FlowAssignment:
 
     fwd = vals > 0.0
     flow_head = np.where(fwd, heads, tails).tolist()
+    flow_tail = np.where(fwd, tails, heads).tolist()
     x = vals.tolist()
     out: list[list[int]] = [[] for _ in range(n)]
-    for k, a in enumerate(np.where(fwd, tails, heads).tolist()):
+    for k in range(len(x)) if edges is None else edges:
         if x[k] != 0.0:
-            out[a].append(k)
+            out[flow_tail[k]].append(k)
 
     color = [0] * n  # 0 white, 1 on current path, 2 finished
     ptr = [0] * n
     pos_on_path = [-1] * n
 
-    for root in range(n):
+    for root in range(n) if roots is None else roots:
         if color[root] != 0:
             continue
         color[root] = 1
@@ -150,15 +194,91 @@ def cycle_cancel(flow: FlowAssignment) -> FlowAssignment:
     return FlowAssignment(net, x)
 
 
+def _truncate_paths(arc_vals: np.ndarray, network: DirectedNetwork) -> np.ndarray:
+    """Decompose an acyclic arc flow into s-t paths and push each path only
+    up to the capacity the earlier paths left free.
+
+    A depth-first walk from the source scans each vertex's positive
+    out-arcs fullest first (ties in index order), so the paths it finds
+    do not depend on how the arcs are numbered.  At the sink, the path's
+    bottleneck is taken out of the flow being decomposed, and the smaller
+    of the bottleneck and the path's free capacity is pushed; the walk
+    then retreats to the tail of the first arc that emptied.  A vertex
+    whose out-arcs are empty, left so by rounding residue in conservation,
+    is a dead end: the arc into it is emptied and the walk steps back one
+    vertex.  An arc back onto the current path, which an acyclic input
+    never has, is emptied too.  Arc flows only shrink and an empty arc
+    stays empty, so each vertex's scan pointer persists, and the walk
+    costs O(m log m) for the order plus O(m + total path length).  The
+    result is a sum of s-t paths within capacity.
+    """
+    s, t = network.source, network.sink
+    tails = network.tails.tolist()
+    heads = network.heads.tolist()
+    x = arc_vals.tolist()
+    free = network.capacities.tolist()
+    out: list[list[int]] = [[] for _ in range(network.vertex_count)]
+    for k in sorted(range(len(x)), key=x.__getitem__, reverse=True):
+        if x[k] > 0.0:
+            out[tails[k]].append(k)
+    ptr = [0] * network.vertex_count
+    on_path = [False] * network.vertex_count
+    on_path[s] = True
+    y = [0.0] * len(x)
+    path: list[int] = []
+    u = s
+    while True:
+        adj = out[u]
+        i = ptr[u]
+        while i < len(adj) and x[adj[i]] == 0.0:
+            i += 1
+        ptr[u] = i
+        if i == len(adj):
+            if not path:
+                break
+            k = path.pop()
+            x[k] = 0.0
+            on_path[u] = False
+            u = tails[k]
+            continue
+        k = adj[i]
+        w = heads[k]
+        if on_path[w]:
+            x[k] = 0.0
+            continue
+        path.append(k)
+        if w != t:
+            on_path[w] = True
+            u = w
+            continue
+        c = min([x[e] for e in path])
+        push = min(c, min([free[e] for e in path]))
+        cut = -1
+        for j, e in enumerate(path):
+            x[e] -= c
+            if x[e] == 0.0 and cut < 0:
+                cut = j
+            y[e] += push
+            free[e] -= push
+        for e in path[cut:-1]:
+            on_path[heads[e]] = False
+        u = tails[path[cut]]
+        del path[cut:]
+    return np.array(y)
+
+
 def extract_directed(
     flow: FlowAssignment, network: DirectedNetwork, rtol: float = 1e-9
 ) -> RecoveryResult:
     """Map an acyclic symmetrized flow back onto the arcs of ``network``.
 
     Link edges must carry (numerically) zero flow and original edges must be
-    nonnegative.  If some arc exceeds its capacity the whole flow is scaled
-    by the worst capacity ratio, which recovery's range bounds keep at most
-    (1+eps).
+    nonnegative.  If some arc exceeds its capacity, two feasible flows are
+    formed: the whole flow scaled by the worst capacity ratio, which
+    recovery's range bounds keep at most (1+eps), and the path-truncated
+    flow of `_truncate_paths`.  The truncated one is returned only if it is
+    worth strictly more, so the result is never worth less than the scaled
+    flow, and a tie keeps the scaled flow.
     """
     net = flow.network
     if not isinstance(net, SymmetrizedNetwork):
@@ -181,11 +301,15 @@ def extract_directed(
     caps = network.capacities
     ratio = float((arc_vals / caps).max()) if len(arc_vals) else 0.0
     scaled = ratio > 1.0
-    if scaled:
-        arc_vals /= ratio
-    np.clip(arc_vals, 0.0, caps, out=arc_vals)
-    directed = FlowAssignment(network, arc_vals)
+    scaled_vals = arc_vals / ratio if scaled else arc_vals
+    directed = FlowAssignment(network, np.clip(scaled_vals, 0.0, caps))
     value = directed.source_outflow()
+    if scaled:
+        truncated_vals = np.clip(_truncate_paths(arc_vals, network), 0.0, caps)
+        truncated = FlowAssignment(network, truncated_vals)
+        truncated_value = truncated.source_outflow()
+        if truncated_value > value:
+            directed, value, scaled = truncated, truncated_value, False
     return RecoveryResult(
         directed_flow=directed,
         value=value,
@@ -197,7 +321,8 @@ def extract_directed(
 def recover_directed_flow(
     flow: FlowAssignment, network: DirectedNetwork, rtol: float = 1e-9
 ) -> RecoveryResult:
-    """Full pipeline: subtract and halve, cancel cycles, extract arc flows."""
+    """Full pipeline: subtract and halve, cancel cycles in `magnitude_order`,
+    extract arc flows."""
     halved = subtract_and_halve(flow, rtol=rtol)
-    acyclic = cycle_cancel(halved)
+    acyclic = cycle_cancel(halved, *magnitude_order(halved))
     return extract_directed(acyclic, network, rtol=rtol)

@@ -6,7 +6,9 @@ energies by dense least squares on the Laplacian pseudoinverse, whole-network
 Laplacians as ``B diag(1/r) B^T``.  The other ``*_reference`` functions keep
 the library's first, plain versions of cycle cancelling, tree repair, dense
 and sparse Laplacian assembly and the conjugate-gradient loop; the library's
-faster versions must return the same bits.
+faster versions must return the same bits.  `scaled_recovery_reference`
+keeps the first arc-flow extraction, which only scaled; the library's
+recovery must never be worth less.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from emaxflow import (
     RepairError,
     SymmetrizedNetwork,
 )
-from emaxflow.network import Network
+from emaxflow.network import Network, Provenance
 
 
 def directed_min_cut(network: DirectedNetwork) -> float:
@@ -312,6 +314,20 @@ def cycle_cancel_reference(flow: FlowAssignment) -> FlowAssignment:
                 path_v.pop()
                 path_e.pop()
     return FlowAssignment(net, vals)
+
+
+def scaled_recovery_reference(
+    flow: FlowAssignment, network: DirectedNetwork
+) -> FlowAssignment:
+    """`recovery.extract_directed` as first written, without its input
+    checks: the original-edge flows clipped at zero and, when some arc is
+    over capacity, all divided by the worst capacity ratio."""
+    original = np.asarray(flow.network.provenance == Provenance.ORIGINAL)
+    arc_vals = np.clip(flow.values[original], 0.0, None)
+    ratio = float((arc_vals / network.capacities).max()) if len(arc_vals) else 0.0
+    if ratio > 1.0:
+        arc_vals /= ratio
+    return FlowAssignment(network, np.clip(arc_vals, 0.0, network.capacities))
 
 
 def repair_values_reference(

@@ -508,3 +508,13 @@ class TestCheckBoundedFlowNonFinite:
 
     def test_nan_target(self):
         assert not check_bounded_flow(self.net, self.valid(), np.nan)
+
+    @pytest.mark.parametrize("target", [np.inf, -np.inf])
+    def test_infinite_target(self, target):
+        # Its tolerance rtol * max(1, |target|) would be infinite.
+        assert not check_bounded_flow(self.net, self.valid(), target)
+
+    @pytest.mark.parametrize("target", [np.inf, -np.inf, np.nan])
+    def test_attempts_reject_a_non_finite_target(self, target):
+        with pytest.raises(ValueError, match="finite"):
+            next(bounded_flow_attempts(self.net, target))

@@ -16,16 +16,31 @@ from emaxflow.recovery import (
     cycle_cancel,
     extract_directed,
     link_routing_values,
+    magnitude_order,
     subtract_and_halve,
 )
 
 from corpus import nonempty_network
-from oracles import cycle_cancel_reference, is_acyclic_support, random_conserving_flow
+from oracles import (
+    cycle_cancel_reference,
+    is_acyclic_support,
+    random_conserving_flow,
+    scaled_recovery_reference,
+)
 
 
 def single_arc(eps=0.5):
     G = DirectedNetwork(2, [(0, 1, 1.0)], 0, 1)
     return G, symmetrize(G, eps)
+
+
+def on_arcs(G, arc_vals):
+    """A symmetrized flow carrying ``arc_vals`` on the original edges and
+    nothing on the links."""
+    net = symmetrize(G, 0.25)
+    vals = np.zeros(net.edge_count)
+    vals[np.asarray(net.provenance == Provenance.ORIGINAL)] = arc_vals
+    return FlowAssignment(net, vals)
 
 
 class TestSubtractAndHalve:
@@ -211,6 +226,167 @@ class TestExtractDirected:
         f = FlowAssignment(net, [-0.5, 0.0, 0.0])
         with pytest.raises(RecoveryError, match="negative"):
             extract_directed(f, G)
+
+
+class TestTruncatePaths:
+    def test_truncation_strictly_wins(self):
+        # Two disjoint paths 0-1-3 and 0-2-3; arc (0, 1) carries 1.2 times
+        # its capacity.  Scaling cuts both paths to 1/1.2 of their flow,
+        # truncation cuts only the first one.
+        G = DirectedNetwork(4, [(0, 1, 1.0), (1, 3, 2.0), (0, 2, 1.0), (2, 3, 1.0)], 0, 3)
+        f = on_arcs(G, [1.2, 1.2, 1.0, 1.0])
+        rec = extract_directed(f, G)
+        assert scaled_recovery_reference(f, G).source_outflow() == pytest.approx(2.2 / 1.2)
+        assert rec.value == pytest.approx(2.0)
+        assert rec.scaled is False
+        assert rec.max_capacity_ratio == pytest.approx(1.2)
+        assert rec.directed_flow.values == pytest.approx([1.0, 1.0, 1.0, 1.0])
+
+    def test_scaled_flow_kept_when_truncation_loses(self):
+        # The first path 0-1-2-4 fills arcs (0, 1) and (2, 4), so the paths
+        # 0-1-4 and 0-2-4 after it push nothing: truncation is worth 1,
+        # scaling by the ratio 2 keeps 1.5.
+        G = DirectedNetwork(
+            5, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (1, 4, 1.0), (2, 4, 1.0)], 0, 4
+        )
+        f = on_arcs(G, [2.0, 1.0, 1.0, 1.0, 2.0])
+        rec = extract_directed(f, G)
+        assert rec.scaled is True
+        assert rec.max_capacity_ratio == 2.0
+        assert rec.value == pytest.approx(1.5)
+        assert rec.directed_flow.values == pytest.approx([1.0, 0.5, 0.5, 0.5, 1.0])
+
+    def test_dead_end_from_rounding_residue(self):
+        # Vertex 2 receives 1e-12 and has no out-arc; the walk takes the
+        # path 0-1-3 first (fullest arcs first), then steps from vertex 1
+        # into 2 with 1e-12 left on (0, 1).
+        G = DirectedNetwork(
+            4, [(0, 1, 1.0), (1, 2, 1.0), (1, 3, 1.0), (0, 3, 1.0)], 0, 3
+        )
+        f = on_arcs(G, [1.2, 1e-12, 1.2 - 1e-12, 1.0])
+        rec = extract_directed(f, G)
+        out = rec.directed_flow
+        assert not rec.scaled
+        assert rec.value == pytest.approx(2.0)
+        assert (out.values >= 0).all() and (out.values <= G.capacities).all()
+        assert out.interior_residual_max() <= 1e-9
+        assert out.values[1] == 0.0
+
+    def test_cyclic_input_terminates_feasible(self):
+        # Not an input recovery makes (cycle_cancel runs first), but the
+        # walk must still end: the arc back onto its path is dropped.
+        G = DirectedNetwork(
+            4, [(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0), (2, 3, 1.0)], 0, 3
+        )
+        f = on_arcs(G, [1.0, 1.3, 0.3, 1.0])
+        rec = extract_directed(f, G)
+        out = rec.directed_flow
+        assert (out.values >= 0).all() and (out.values <= G.capacities).all()
+        assert out.interior_residual_max() <= 1e-9
+        assert rec.value >= scaled_recovery_reference(f, G).source_outflow()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 5000),
+        eps=st.floats(0.05, 0.5),
+        excess=st.floats(0.0, 1.0),
+        mix=st.floats(0.0, 1.0),
+    )
+    def test_never_below_the_scaled_flow(self, seed, eps, excess, mix):
+        # TestEndToEnd's synthetic bounded flow, built from a blend of two
+        # maximum flows (of G, and of G at randomly lowered capacities)
+        # scaled up by a factor in [1, 1 + eps].  A scaled single maximum
+        # flow would always keep the scaled recovery; the blend is over
+        # capacity on some arcs and not others, so either one can win.
+        from emaxflow import exact_max_flow
+
+        G = nonempty_network(seed)
+        rng = np.random.default_rng(seed)
+        lowered = G.capacities * rng.uniform(0.1, 1.0, G.edge_count)
+        H = DirectedNetwork(
+            G.vertex_count,
+            list(zip(G.tails.tolist(), G.heads.tolist(), lowered.tolist())),
+            G.source,
+            G.sink,
+        )
+        fstar, witness = exact_max_flow(G)
+        fh, witness_h = exact_max_flow(H)
+        g = 1.0 + excess * eps
+        directed = g * (mix * witness.values + (1.0 - mix) * witness_h.values)
+        net = symmetrize(G, eps)
+        vals = link_routing_values(net).copy()
+        orig = np.asarray(net.provenance == Provenance.ORIGINAL)
+        vals[orig] += 2.0 * directed
+        f = FlowAssignment(net, vals)
+        rec = recover_directed_flow(f, G)
+        halved = subtract_and_halve(f)
+        acyclic = cycle_cancel(halved, *magnitude_order(halved))
+        assert rec.value >= scaled_recovery_reference(acyclic, G).source_outflow()
+        out = rec.directed_flow.values
+        assert (out >= 0).all() and (out <= G.capacities).all()
+        F = g * (mix * fstar + (1.0 - mix) * fh)
+        assert rec.directed_flow.interior_residual_max() <= 1e-9 * max(1.0, F)
+
+
+class TestMagnitudeOrder:
+    def test_largest_first_ties_in_id_order(self):
+        G = DirectedNetwork(4, [(0, 1, 1.0), (1, 3, 1.0), (0, 2, 1.0), (2, 3, 1.0)], 0, 3)
+        f = FlowAssignment(G, [0.5, 0.5, -2.0, -2.0])
+        roots, edges = magnitude_order(f)
+        # Throughputs 2.5, 1.0, 4.0, 2.5.
+        assert roots == [2, 0, 3, 1]
+        assert edges == [2, 3, 0, 1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 5000), value=st.floats(0, 4, allow_nan=False))
+    def test_any_order_cancels_every_cycle(self, seed, value):
+        G = nonempty_network(seed, n_min=3)
+        net = symmetrize(G, 0.3)
+        rng = np.random.default_rng(seed)
+        f = random_conserving_flow(net, value, rng)
+        roots = rng.permutation(net.vertex_count).tolist()
+        edges = rng.permutation(net.edge_count).tolist()
+        out = cycle_cancel(f, roots, edges)
+        assert is_acyclic_support(out)
+        assert out.value() == pytest.approx(value, abs=1e-9 * max(1.0, value))
+        assert (np.abs(out.values) <= np.abs(f.values) + 1e-12).all()
+
+
+class TestRenumbering:
+    """A renumbered input recovers the same flow, renumbered: recovery
+    reads the flow in an order its values fix, not in id order."""
+
+    # Seeds whose solver flow at 0.95 F* is over capacity on some arc, so
+    # that both cycle cancelling and the path walk decide the result.
+    @pytest.mark.parametrize("seed", [1, 5, 7, 23, 26])
+    def test_recovered_flow_follows_the_renumbering(self, seed):
+        from emaxflow import exact_max_flow
+
+        G = nonempty_network(seed, n_min=5)
+        fstar, _ = exact_max_flow(G)
+        eps = 0.25
+        net = symmetrize(G, eps)
+        res = solve_bounded_flow(net, 2 * 0.95 * fstar + (1 + eps) * G.total_capacity())
+        assert res.succeeded
+        rng = np.random.default_rng(seed)
+        perm = rng.permutation(G.vertex_count)  # old vertex id -> new
+        order = rng.permutation(G.edge_count)  # new arc i is old arc order[i]
+        H = DirectedNetwork(
+            G.vertex_count,
+            zip(perm[G.tails[order]], perm[G.heads[order]], G.capacities[order]),
+            int(perm[G.source]),
+            int(perm[G.sink]),
+        )
+        edge_order = (3 * order[:, None] + np.arange(3)).ravel()
+        g = FlowAssignment(symmetrize(H, eps), res.flow.values[edge_order])
+        rec_g = recover_directed_flow(res.flow, G)
+        rec_h = recover_directed_flow(g, H)
+        assert rec_g.max_capacity_ratio > 1.0
+        assert rec_h.value == pytest.approx(rec_g.value, rel=1e-12)
+        assert rec_h.scaled == rec_g.scaled
+        assert rec_h.directed_flow.values == pytest.approx(
+            rec_g.directed_flow.values[order], rel=1e-12, abs=1e-12
+        )
 
 
 class TestEndToEnd:
