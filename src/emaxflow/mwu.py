@@ -3,14 +3,16 @@
 Each oracle step prices every edge of the symmetrized network by
 ``r = (w + regularizer) / u_parent^2``, computes an approximate electrical
 s-t flow of the requested value, and the loop fails when the flow's energy
-exceeds a threshold derived from the weight total.  Successful flows are
-averaged; the loop stops as soon as a running average stays within the
-per-edge bound ``|f| <= (1+eps) * u_parent`` and the exact target value,
-both verified explicitly before returning; ``eps`` is the network's own.
-A run starts from unit weights unless it is given other positive weights
-to start from, such as the final weights of an earlier run on the same
-network; an energy failure certifies infeasibility whatever the weights,
-so the start changes what a run costs, not what it concludes.
+exceeds a threshold derived from the weight total.  After each successful
+call two candidates are checked: the running average of the flows so far,
+then the current flow.  The loop stops at the first that stays within the
+per-edge bound ``|f| <= (1+eps) * u_parent`` and has the exact target
+value, both verified explicitly before returning; ``eps`` is the network's
+own.  A run starts from unit weights unless it is given other positive
+weights to start from, such as the final weights of an earlier run on the
+same network; an energy failure certifies infeasibility whatever the
+weights, so neither the start nor the update rate changes what a run
+concludes, only what it costs.
 """
 
 from __future__ import annotations
@@ -68,16 +70,25 @@ def fail_threshold(net: SymmetrizedNetwork, weights: np.ndarray, epsilon: float)
     return float((1.0 + epsilon / 10.0) * np.sum((weights + reg) * beta * beta))
 
 
+#: Each updated weight is at least this times the largest, so repeated
+#: renormalization never rounds a weight to zero.
+WEIGHT_FLOOR = 1e-200
+
+
 def update_weights(
     weights: np.ndarray, congestion: np.ndarray, epsilon: float, width: float
 ) -> np.ndarray:
-    """Multiplicative update w <- w * (1 + (eps/step) * congestion), with
-    step = max(1 + eps, observed max congestion).
+    """Multiplicative update w <- w * (1 + congestion / step), with
+    step = max(1 + eps, observed max congestion), floored at
+    `WEIGHT_FLOOR` times the largest new weight.
 
-    Normalizing by the observed max congestion instead of the worst-case
-    width keeps the update shape but converges in far fewer oracle calls;
-    the returned flow is post-verified either way.  Congestion above the
-    width raises `WidthViolationError`.
+    The rate is 1, not the eps that the analysis of the averaged flow
+    needs: every candidate is verified explicitly, and an energy failure
+    certifies infeasibility for any positive weights, so the rate changes
+    only the number of oracle calls.  The floor keeps every weight a valid
+    warm start; it lies far below the regularizer of `compute_resistances`,
+    so it moves no resistance.  Congestion above the width raises
+    `WidthViolationError`.
     """
     worst = float(congestion.max()) if len(congestion) else 0.0
     if worst > width * (1.0 + 1e-9):
@@ -85,7 +96,8 @@ def update_weights(
             f"congestion {worst:.6g} exceeds the oracle width {width:.6g}"
         )
     step = max(1.0 + epsilon, worst)
-    return weights * (1.0 + (epsilon / step) * congestion)
+    updated = weights * (1.0 + congestion / step)
+    return np.maximum(updated, WEIGHT_FLOOR * updated.max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -221,9 +233,10 @@ def solve_bounded_flow(
 
     Starts from unit weights (`bounded_flow_attempts` can start from
     others) and iterates the congestion oracle, reweighting edges by their
-    congestion after each successful step.  Running averages of the iterate
-    flows are checked against the contract every iteration and the first
-    one that verifies is returned.  The failure modes are:
+    congestion after each successful step.  After every step the running
+    average of the flows so far, then the current flow, is checked against
+    the contract, and the first that verifies is returned.  The failure
+    modes are:
 
     - ``"oracle-energy"``: an oracle step's energy exceeded its threshold.
       This certifies that the target exceeds the max flow of the
@@ -231,7 +244,7 @@ def solve_bounded_flow(
     - ``"disconnected"``: the source and sink lie in different components,
       which certifies that no flow of positive value exists.
     - ``"iteration-budget"``: twice the capped iteration schedule ran out
-      without a verified average.  This certifies nothing: the target may
+      without a verified candidate.  This certifies nothing: the target may
       still be feasible, and `bounded_flow_attempts` can resume the run.
 
     `BoundedFlowResult.certified_infeasible` tells the first two apart from
@@ -261,7 +274,7 @@ def bounded_flow_attempts(
 
     Each ``next`` spends at most twice the capped iteration schedule.  After
     an ``"iteration-budget"`` result the following ``next`` resumes the same
-    run from its weights, running sums, snapshots and last potentials;
+    run from its weights, running sum and last potentials;
     ``iterations`` counts the calls of the whole run.  The generator ends
     after a success or a certified failure.
     """
@@ -289,11 +302,6 @@ def bounded_flow_attempts(
         log_scale = math.log(top)
         weights = weights * (1.0 / top)
     flow_sum = np.zeros(net.edge_count)
-    # Prefix snapshots let a burn-in-free "last half" average be formed at
-    # any iteration with bounded lag; early iterates otherwise dominate the
-    # plain average for a long time.
-    snap_every = 32
-    snapshots: dict[int, np.ndarray] = {0: np.zeros(net.edge_count)}
     phi_prev: np.ndarray | None = None
 
     allowed = 2 * budget
@@ -318,19 +326,10 @@ def bounded_flow_attempts(
 
         phi_prev = result.potentials
         flow_sum += result.flow.values
-        half_start = (i // 2) // snap_every * snap_every
-        candidates = [flow_sum / i]
-        if 0 < half_start < i:
-            candidates.append((flow_sum - snapshots[half_start]) / (i - half_start))
-        candidates.append(result.flow.values)
-        for cand in candidates:
+        for cand in (flow_sum / i, result.flow.values):
             if check_bounded_flow(net, cand, target_value):
                 yield BoundedFlowResult(FlowAssignment(net, cand), i, None, weights)
                 return
-        if i % snap_every == 0:
-            snapshots[i] = flow_sum.copy()
-            for key in [k for k in snapshots if 0 < k < half_start]:
-                del snapshots[key]
 
         weights = update_weights(weights, cong, eps, width)
         top = float(weights.max())

@@ -267,8 +267,9 @@ class TestWarmStart:
             # With the cut off, probes above F* reach the oracle and fail on
             # energy between successes.
             (grid_network(3, 3, 3), False, None),
-            # A tiny budget leaves the second probe unknown after its resume.
-            (random_network(3), True, 10),
+            # A tiny budget leaves the second probe unknown after its resume:
+            # it needs 109 calls, against 40 in two budgets of 20.
+            (grid_network(0, 4, 4), True, 10),
         ],
     )
     def test_probes_start_from_the_last_uncertified_weights(

@@ -162,19 +162,38 @@ class TestUpdateWeights:
         assert w2 == pytest.approx(w)
 
     def test_full_width_congestion(self):
+        # congestion at the width sets the step, so the weight doubles
         width = math.sqrt(27 * 4 / 0.3)
         w = np.array([1.0])
         w2 = update_weights(w, np.array([width]), 0.3, width)
-        assert w2[0] == pytest.approx(1.3, rel=1e-12)
+        assert w2[0] == pytest.approx(2.0, rel=1e-12)
 
     def test_worked_example(self):
         # eps=0.5, congestion 7/6 on unit weights: the step normalizer is
         # max(1 + eps, 7/6) = 1.5, well below the width sqrt(54)
         w = np.ones(3)
         w2 = update_weights(w, np.full(3, 7 / 6), 0.5, math.sqrt(54))
-        expected = 1 + 0.5 * (7 / 6) / 1.5
+        expected = 1 + (7 / 6) / 1.5
         assert w2 == pytest.approx([expected] * 3, rel=1e-12)
-        assert expected == pytest.approx(1.3888889, abs=1e-6)
+        assert expected == pytest.approx(1.7777778, abs=1e-6)
+
+    def test_weights_stay_a_valid_start(self):
+        # Rate 1 doubles the spread between a fully and a never congested
+        # edge per call; without the floor 1,200 update-and-renormalize
+        # steps round the idle edge to exactly 0.0.
+        net = single_arc_net()
+        width = oracle_width(net)
+        cong = np.zeros(net.edge_count)
+        cong[0] = width
+        w = np.ones(net.edge_count)
+        for _ in range(1200):
+            w = update_weights(w, cong, net.epsilon, width)
+            w = w / w.max()
+        assert w.min() == pytest.approx(mwu.WEIGHT_FLOOR, rel=1e-12)
+        result = next(bounded_flow_attempts(net, 3.0, weights=w))
+        assert result.succeeded
+        assert check_bounded_flow(net, result.flow.values, 3.0)
+        assert (result.weights > 0).all()
 
     def test_width_violation_raises(self):
         width = math.sqrt(54)
@@ -238,9 +257,10 @@ class TestSolveBoundedFlow:
                 assert solve_bounded_flow(net, target).succeeded
 
     def test_slow_progress_still_verifies(self):
-        # F = 2.788 is feasible, but the best candidate's overrun stops
-        # improving for hundreds of calls before the run verifies (~1,100
-        # calls); a run cut short there would wrongly report no flow.
+        # F = 2.788 is feasible.  Under the eps-damped update rate the best
+        # candidate's overrun stopped improving for hundreds of calls before
+        # the run verified (about 1,100 calls; 54 at rate 1); a run cut
+        # short there would wrongly report no flow.
         G = random_sized_network(1016, 21, 49)
         eps = 0.025
         net = symmetrize(G, eps)
@@ -257,18 +277,19 @@ class TestSolveBoundedFlow:
         net = symmetrize(G, eps)
         target = 2 * 2.788 + (1 + eps) * G.total_capacity()
         resumed, whole = [], []
+        # The run verifies after 54 calls, so two budgets of 20 run out.
         run = bounded_flow_attempts(
-            net, target, max_iterations=25, trace=lambda i, d: resumed.append(d.energy)
+            net, target, max_iterations=10, trace=lambda i, d: resumed.append(d.energy)
         )
         first = next(run)
-        assert first.failure == "iteration-budget" and first.iterations == 50
+        assert first.failure == "iteration-budget" and first.iterations == 20
         assert not first.certified_infeasible
         second = next(run)
-        assert second.failure == "iteration-budget" and second.iterations == 100
+        assert second.failure == "iteration-budget" and second.iterations == 40
         once = solve_bounded_flow(
-            net, target, max_iterations=50, trace=lambda i, d: whole.append(d.energy)
+            net, target, max_iterations=20, trace=lambda i, d: whole.append(d.energy)
         )
-        assert once.iterations == 100
+        assert once.iterations == 40
         assert resumed == whole
 
     def test_trace_emitted_per_oracle_call(self):
