@@ -106,15 +106,16 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def _read_certificate(path: str) -> tuple[np.ndarray, Optional[float]]:
     """Arc flows and declared value (None if absent); ValueError unless the
-    file is a JSON object whose ``arc_flows`` and ``value`` are numbers."""
+    file is a JSON object whose ``arc_flows`` and ``value`` are numbers.
+    Integers are read as floats: one too large is infinite, as ``1e400`` is."""
     with open(path, "r", encoding="utf-8") as fp:
-        cert = json.load(fp)
+        cert = json.load(fp, parse_int=float)
     if not isinstance(cert, dict):
         raise ValueError("a certificate is a JSON object")
     flows, value = cert.get("arc_flows", []), cert.get("value", 0.0)
-    if not (isinstance(flows, list) and all(type(x) in (int, float) for x in flows + [value])):
+    if not (isinstance(flows, list) and all(type(x) is float for x in flows + [value])):
         raise ValueError("arc_flows must be a list of numbers, and value a number")
-    return np.asarray(flows, dtype=np.float64), (float(value) if "value" in cert else None)
+    return np.asarray(flows, dtype=np.float64), (value if "value" in cert else None)
 
 
 def _check_certificate(

@@ -277,7 +277,6 @@ def approx_max_flow(
     exact_check: bool = False,
     instance: str = "",
     on_trace: Callable[[dict], None] | None = None,
-    max_iterations: int | None = None,
 ) -> tuple[RecoveryResult, SolveReport]:
     """Feasible directed flow of value at least (1-epsilon) of the optimum.
 
@@ -364,7 +363,6 @@ def approx_max_flow(
                 attempts = bounded_flow_attempts(
                     net,
                     2.0 * probe_value + baseline,
-                    max_iterations=max_iterations,
                     trace=None if on_trace is None else (
                         lambda i, d, p=probes: on_trace(_trace_line(p, i, d))
                     ),

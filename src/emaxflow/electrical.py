@@ -5,7 +5,9 @@ the component containing the source and sink, with an explicit relative
 residual contract.  Because the iterate is only approximately conserving,
 `_repair_values` afterwards routes the leftover vertex residuals along a
 fixed spanning tree so the returned flow conserves exactly and has exactly
-the requested value.
+the requested value.  That tree belongs to this solve alone: it is built
+here, by SciPy's breadth-first search from the source, and the network
+holds none.
 
 Everything that depends only on the network is built once per network and
 reused by every call: the component, the Laplacian's assembly slots, one
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order
 
 from .network import FlowAssignment, SymmetrizedNetwork
 
@@ -86,10 +89,10 @@ def _pcg(
 def _repair_values(net: SymmetrizedNetwork, vals: np.ndarray, value: float) -> np.ndarray:
     """Make ``vals`` conserve exactly with net source outflow exactly ``value``.
 
-    The correction is routed along the network's fixed BFS spanning tree of
-    the s-t component.  Raises `RepairError` if any single-edge correction
-    exceeds 10% of that edge's capacity, which signals the linear solve was
-    far too loose.
+    The correction is routed along `_repair_tree`, the fixed BFS spanning
+    tree of the s-t component.  Raises `RepairError` if any single-edge
+    correction exceeds 10% of that edge's capacity, which signals the linear
+    solve was far too loose.
     """
     ctx = _st_context(net)
     mismatch = net.incidence @ vals
@@ -166,11 +169,11 @@ class _StSolveContext:
     """
 
     def __init__(self, net: SymmetrizedNetwork):
+        order, self.tree_levels = _repair_tree(net)
         in_tree = np.zeros(net.vertex_count, dtype=bool)
-        in_tree[net.spanning_tree[0]] = True
+        in_tree[order] = True
         self.outside = np.flatnonzero(~in_tree)
         self.repair_limit = 0.1 * net.capacities
-        self.tree_levels = _tree_levels(net)
         idx = np.flatnonzero(in_tree)
         pos = np.full(net.vertex_count, -1, dtype=np.int64)
         pos[idx] = np.arange(len(idx))
@@ -216,17 +219,34 @@ class _StSolveContext:
         return self._csr
 
 
-def _tree_levels(
-    net: SymmetrizedNetwork,
-) -> list[tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]]:
-    """The BFS tree's non-root vertices by depth, deepest first, each level
-    in reversed BFS order, as (vertices, parents, parent edges, signs).
-    A sign is +1.0 where the vertex is its parent edge's tail, so that a
-    push toward the parent adds to the edge.  Depth 1 carries no parents:
-    its pushes go to the root, whose surplus the repair never reads."""
-    order, parent_vertex, parent_edge = net.spanning_tree
+def _repair_tree(net: SymmetrizedNetwork) -> tuple[np.ndarray, list[tuple]]:
+    """The BFS spanning tree of the source's component, each vertex's edges
+    scanned in index order: its vertices in BFS order, and its non-root
+    vertices by depth, deepest first, each level in reversed BFS order, as
+    (vertices, parents, parent edges, signs).  A vertex's parent edge is
+    the first edge joining it to its parent, and its sign is +1.0 where it
+    is that edge's tail, so that a push toward the parent adds to the edge.
+    Depth 1 carries no parents: its pushes go to the root, whose surplus
+    the repair never reads."""
+    inc = net.incidence
+    n = net.vertex_count
+    # Row v of the incidence lists v's edges in index order, +1 where v is
+    # the tail.  A self-loop's entry is 0 and points back at v, already seen.
+    nbr = np.where(inc.data > 0, net.heads[inc.indices], net.tails[inc.indices])
+    adj = sp.csr_matrix((inc.data, nbr, inc.indptr), shape=(n, n))
+    order, parent_vertex = breadth_first_order(adj, net.source, return_predecessors=True)
+    order, parent_vertex = order.astype(np.int64), parent_vertex.astype(np.int64)
+    tails, heads = net.tails, net.heads
+    down = parent_vertex[heads] == tails
+    joins = np.flatnonzero(down | (parent_vertex[tails] == heads))
+    child = np.where(down[joins], heads[joins], tails[joins])
+    # Assigned from the last edge back, so the first edge is kept.
+    first = dict(zip(child[::-1].tolist(), joins[::-1].tolist()))
+    parent_edge = np.full(n, -1, dtype=np.int64)
+    parent_edge[list(first)] = list(first.values())
+
     parent = parent_vertex.tolist()
-    depth = [0] * net.vertex_count
+    depth = [0] * n
     for v in order[1:].tolist():
         depth[v] = depth[parent[v]] + 1
     rev = order[:0:-1]
@@ -236,10 +256,10 @@ def _tree_levels(
         if not len(verts):
             continue
         edges = parent_edge[verts]
-        signs = np.where(net.tails[edges] == verts, 1.0, -1.0)
+        signs = np.where(tails[edges] == verts, 1.0, -1.0)
         parents = parent_vertex[verts] if depth[int(verts[0])] > 1 else None
         levels.append((verts, parents, edges, signs))
-    return levels
+    return order, levels
 
 
 def _st_context(net: SymmetrizedNetwork) -> _StSolveContext:

@@ -34,6 +34,8 @@ from .network import FlowAssignment, SymmetrizedNetwork
 # Practical cap on oracle calls per solve; the theoretical schedule
 # 2*rho*ln(edges)/eps^2 is far beyond desk scale for small eps.
 DEFAULT_ITERATION_CAP = 2000
+# Relative tolerance of every test in `check_bounded_flow`.
+_CHECK_RTOL = 1e-9
 
 
 class WidthViolationError(RuntimeError):
@@ -159,20 +161,19 @@ def check_bounded_flow(
     net: SymmetrizedNetwork,
     values: np.ndarray,
     target_value: float,
-    rtol: float = 1e-9,
 ) -> bool:
     """True iff ``values`` conserves, has value ``target_value``, and respects
-    |f| <= (1+eps) * u_parent per edge, all within relative ``rtol``.
+    |f| <= (1+eps) * u_parent per edge, all within a relative 1e-9.
 
     Each test is written so that a NaN fails it, and a non-finite target
     fails it too: its tolerance would be infinite."""
     if not math.isfinite(target_value):
         return False
     bound = (1.0 + net.epsilon) * net.parent_capacity
-    if not (np.abs(values) <= bound * (1.0 + rtol)).all():
+    if not (np.abs(values) <= bound * (1.0 + _CHECK_RTOL)).all():
         return False
     resid = net.incidence @ values
-    tol = rtol * max(1.0, abs(target_value))
+    tol = _CHECK_RTOL * max(1.0, abs(target_value))
     if not abs(resid[net.source] - target_value) <= tol:
         return False
     mask = np.ones(net.vertex_count, dtype=bool)

@@ -5,7 +5,8 @@ undirected edges: the original edge u-v at the arc's capacity, a source link
 s-v and a sink link u-t, both at (1+eps) times the arc's capacity.  All flow
 bookkeeping downstream (values, conservation residuals, congestion) lives on
 `FlowAssignment`, which works for both the directed input and its
-symmetrization.
+symmetrization.  The spanning tree along which the electrical solve repairs
+conservation is not part of the network: `electrical` builds it.
 """
 
 from __future__ import annotations
@@ -53,6 +54,10 @@ class Provenance(enum.IntEnum):
     ORIGINAL = 0
     SOURCE_LINK = 1
     SINK_LINK = 2
+
+
+# Conservation tolerance of `flow_value`, relative to the largest flow.
+_VALUE_RTOL = 1e-9
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -170,7 +175,7 @@ class SymmetrizedNetwork:
         self.provenance = _readonly(provenance)
         self.parent_arc = _readonly(parent_arc)
         self.arc_capacities = _readonly(arc_capacities)
-        self.parent_capacity = _readonly(arc_capacities[parent_arc] if len(parent_arc) else np.zeros(0))
+        self.parent_capacity = _readonly(arc_capacities[parent_arc])
 
     @property
     def m_arcs(self) -> int:
@@ -183,40 +188,6 @@ class SymmetrizedNetwork:
     @cached_property
     def incidence(self) -> sp.csr_matrix:
         return _incidence_matrix(self.vertex_count, self.tails, self.heads)
-
-    @cached_property
-    def spanning_tree(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """BFS spanning tree of the source's component.
-
-        Returns (order, parent_vertex, parent_edge): ``order`` lists tree
-        vertices root-first, ``parent_edge[v]`` is the edge id connecting v
-        to ``parent_vertex[v]`` (-1 at the root).  Deterministic: edges are
-        scanned in index order.
-        """
-        n = self.vertex_count
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for k in range(self.edge_count):
-            a, b = int(self.tails[k]), int(self.heads[k])
-            if a == b:
-                continue
-            adj[a].append((b, k))
-            adj[b].append((a, k))
-        parent_vertex = np.full(n, -1, dtype=np.int64)
-        parent_edge = np.full(n, -1, dtype=np.int64)
-        seen = np.zeros(n, dtype=bool)
-        order = [self.source]
-        seen[self.source] = True
-        head = 0
-        while head < len(order):
-            v = order[head]
-            head += 1
-            for w, k in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    parent_vertex[w] = v
-                    parent_edge[w] = k
-                    order.append(w)
-        return np.asarray(order, dtype=np.int64), parent_vertex, parent_edge
 
     def __repr__(self) -> str:
         return (
@@ -266,9 +237,9 @@ def symmetrize(network: DirectedNetwork, epsilon: float) -> SymmetrizedNetwork:
     s = np.full(m, network.source, dtype=np.int64)
     t = np.full(m, network.sink, dtype=np.int64)
     boosted = (1.0 + epsilon) * c
-    tails = np.stack([u, s, u], axis=1).ravel() if m else np.zeros(0, dtype=np.int64)
-    heads = np.stack([v, v, t], axis=1).ravel() if m else np.zeros(0, dtype=np.int64)
-    caps = np.stack([c, boosted, boosted], axis=1).ravel() if m else np.zeros(0)
+    tails = np.stack([u, s, u], axis=1).ravel()
+    heads = np.stack([v, v, t], axis=1).ravel()
+    caps = np.stack([c, boosted, boosted], axis=1).ravel()
     prov = np.tile(np.array([0, 1, 2], dtype=np.int8), m)
     parent = np.repeat(np.arange(m, dtype=np.int64), 3)
     return SymmetrizedNetwork(
@@ -320,23 +291,22 @@ class FlowAssignment:
         """Net outflow at the source, without any conservation check."""
         return float(self.residuals()[self.network.source])
 
-    def value(self, tol: float | None = None) -> float:
-        return flow_value(self, tol=tol)
+    def value(self) -> float:
+        return flow_value(self)
 
     def __repr__(self) -> str:
         return f"FlowAssignment(edges={len(self.values)}, value~{self.source_outflow():.6g})"
 
 
-def flow_value(flow: FlowAssignment, tol: float | None = None) -> float:
+def flow_value(flow: FlowAssignment) -> float:
     """Value of a conserving flow: its net outflow at the source.
 
     Raises `ConservationError` if any vertex other than the source or sink
-    has a conservation residual above ``tol`` (default 1e-9 scaled by the
-    largest flow magnitude).
+    has a conservation residual above 1e-9 times the largest flow
+    magnitude (at least 1).
     """
-    if tol is None:
-        scale = max(1.0, float(np.abs(flow.values).max()) if len(flow.values) else 0.0)
-        tol = 1e-9 * scale
+    scale = max(1.0, float(np.abs(flow.values).max()) if len(flow.values) else 0.0)
+    tol = _VALUE_RTOL * scale
     resid = flow.residuals()
     net = flow.network
     for v in range(net.vertex_count):

@@ -25,6 +25,10 @@ import numpy as np
 from .network import DirectedNetwork, FlowAssignment, Provenance, SymmetrizedNetwork
 
 
+# Relative tolerance of the range checks on a recovery's input.
+_RANGE_RTOL = 1e-9
+
+
 class RecoveryError(ValueError):
     """Input flow violates the bounds the recovery pipeline relies on."""
 
@@ -51,14 +55,14 @@ def link_routing_values(net: SymmetrizedNetwork) -> np.ndarray:
     return sign * (1.0 + net.epsilon) * net.parent_capacity
 
 
-def subtract_and_halve(flow: FlowAssignment, rtol: float = 1e-9) -> FlowAssignment:
+def subtract_and_halve(flow: FlowAssignment) -> FlowAssignment:
     """Halve the flow minus the canonical link routing.
 
     For an input satisfying the bounded-flow contract, the output carries
     each original edge forward in [0, (1+eps)u], each link edge backward in
     [-(1+eps)u, 0], and has value (input value - (1+eps)*total capacity)/2.
-    A non-finite input or an out-of-range output (beyond ``rtol``) raises
-    `RecoveryError`.
+    A non-finite input or an out-of-range output (beyond a relative 1e-9)
+    raises `RecoveryError`.
     """
     net = flow.network
     if not isinstance(net, SymmetrizedNetwork):
@@ -67,7 +71,7 @@ def subtract_and_halve(flow: FlowAssignment, rtol: float = 1e-9) -> FlowAssignme
         raise RecoveryError("input flow carries a non-finite value")
     vals = 0.5 * (flow.values - link_routing_values(net))
     bound = (1.0 + net.epsilon) * net.parent_capacity
-    tol = rtol * np.maximum(1.0, bound)
+    tol = _RANGE_RTOL * np.maximum(1.0, bound)
     original = net.provenance == Provenance.ORIGINAL
     bad_low = np.where(original, vals < -tol, vals < -bound - tol)
     bad_high = np.where(original, vals > bound + tol, vals > tol)
@@ -267,9 +271,7 @@ def _truncate_paths(arc_vals: np.ndarray, network: DirectedNetwork) -> np.ndarra
     return np.array(y)
 
 
-def extract_directed(
-    flow: FlowAssignment, network: DirectedNetwork, rtol: float = 1e-9
-) -> RecoveryResult:
+def extract_directed(flow: FlowAssignment, network: DirectedNetwork) -> RecoveryResult:
     """Map an acyclic symmetrized flow back onto the arcs of ``network``.
 
     Link edges must carry (numerically) zero flow and original edges must be
@@ -286,7 +288,7 @@ def extract_directed(
     if net.m_arcs != network.edge_count:
         raise ValueError("symmetrized network does not match the directed network")
     cap_scale = float(net.capacities.max()) if net.edge_count else 1.0
-    link_tol = rtol * max(1.0, cap_scale)
+    link_tol = _RANGE_RTOL * max(1.0, cap_scale)
     original = np.asarray(net.provenance == Provenance.ORIGINAL)
     link_vals = flow.values[~original]
     if len(link_vals) and float(np.abs(link_vals).max()) > link_tol:
@@ -318,11 +320,9 @@ def extract_directed(
     )
 
 
-def recover_directed_flow(
-    flow: FlowAssignment, network: DirectedNetwork, rtol: float = 1e-9
-) -> RecoveryResult:
+def recover_directed_flow(flow: FlowAssignment, network: DirectedNetwork) -> RecoveryResult:
     """Full pipeline: subtract and halve, cancel cycles in `magnitude_order`,
     extract arc flows."""
-    halved = subtract_and_halve(flow, rtol=rtol)
+    halved = subtract_and_halve(flow)
     acyclic = cycle_cancel(halved, *magnitude_order(halved))
-    return extract_directed(acyclic, network, rtol=rtol)
+    return extract_directed(acyclic, network)

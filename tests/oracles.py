@@ -4,11 +4,12 @@ Everything here deliberately avoids the library's solution paths: min cuts
 by subset enumeration, max flows by bounded integral enumeration, minimum
 energies by dense least squares on the Laplacian pseudoinverse, whole-network
 Laplacians as ``B diag(1/r) B^T``.  The other ``*_reference`` functions keep
-the library's first, plain versions of cycle cancelling, tree repair, dense
-and sparse Laplacian assembly and the conjugate-gradient loop; the library's
-faster versions must return the same bits.  `scaled_recovery_reference`
-keeps the first arc-flow extraction, which only scaled; the library's
-recovery must never be worth less.
+the library's first, plain versions of cycle cancelling, the repair tree's
+BFS, tree repair, dense and sparse Laplacian assembly and the
+conjugate-gradient loop; the library's faster versions must return the
+same bits.  `scaled_recovery_reference` keeps the first arc-flow
+extraction, which only scaled; the library's recovery must never be worth
+less.
 """
 
 from __future__ import annotations
@@ -330,18 +331,57 @@ def scaled_recovery_reference(
     return FlowAssignment(network, np.clip(arc_vals, 0.0, network.capacities))
 
 
+def spanning_tree_reference(
+    net: SymmetrizedNetwork,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The BFS spanning tree of the source's component, as first written:
+    a Python loop over adjacency lists.  The electrical solve's repair tree
+    must be this tree.
+
+    Returns (order, parent_vertex, parent_edge): ``order`` lists tree
+    vertices root-first, ``parent_edge[v]`` is the edge id connecting v
+    to ``parent_vertex[v]`` (-1 at the root).  Deterministic: edges are
+    scanned in index order.
+    """
+    n = net.vertex_count
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for k in range(net.edge_count):
+        a, b = int(net.tails[k]), int(net.heads[k])
+        if a == b:
+            continue
+        adj[a].append((b, k))
+        adj[b].append((a, k))
+    parent_vertex = np.full(n, -1, dtype=np.int64)
+    parent_edge = np.full(n, -1, dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)
+    order = [net.source]
+    seen[net.source] = True
+    head = 0
+    while head < len(order):
+        v = order[head]
+        head += 1
+        for w, k in adj[v]:
+            if not seen[w]:
+                seen[w] = True
+                parent_vertex[w] = v
+                parent_edge[w] = k
+                order.append(w)
+    return np.asarray(order, dtype=np.int64), parent_vertex, parent_edge
+
+
 def repair_values_reference(
     net: SymmetrizedNetwork, vals: np.ndarray, value: float
 ) -> np.ndarray:
     """`electrical._repair_values` as first written, pushing along the tree
-    one NumPy scalar at a time.  The library must match it bit for bit."""
+    one NumPy scalar at a time along `spanning_tree_reference`.  The
+    library must match it bit for bit."""
     resid = net.incidence @ vals
     target = np.zeros(net.vertex_count)
     target[net.source] = value
     target[net.sink] = -value
     mismatch = resid - target
 
-    order, parent_vertex, parent_edge = net.spanning_tree
+    order, parent_vertex, parent_edge = spanning_tree_reference(net)
     in_tree = np.zeros(net.vertex_count, dtype=bool)
     in_tree[order] = True
     outside = ~in_tree

@@ -214,13 +214,19 @@ class TestVerify:
             {"arc_flows": [float("inf")]},
             {"value": float("nan"), "arc_flows": [1.0]},
             {"value": float("-inf"), "arc_flows": [1.0]},
+            {"arc_flows": [10**400]},
+            {"value": -(10**400), "arc_flows": [1.0]},
+            '{"arc_flows": [1e400]}',
         ],
-        ids=["nan-flow", "inf-flow", "nan-value", "inf-value"],
+        ids=["nan-flow", "inf-flow", "nan-value", "inf-value", "huge-int-flow",
+             "huge-int-value", "huge-float-flow"],
     )
     def test_non_finite_certificate_exits_4(self, single_arc_file, tmp_path, cert):
         # Every comparison with NaN is false, so only an explicit check
-        # keeps a NaN flow from passing as valid.
-        assert self._verify_certificate(single_arc_file, tmp_path, json.dumps(cert)) == 4
+        # keeps a NaN flow from passing as valid.  A number literal too
+        # large for a float, integer or not, is read as infinite.
+        text = cert if isinstance(cert, str) else json.dumps(cert)
+        assert self._verify_certificate(single_arc_file, tmp_path, text) == 4
 
     @pytest.mark.parametrize(
         "text",

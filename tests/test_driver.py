@@ -288,7 +288,9 @@ class TestWarmStart:
         monkeypatch.setattr(emaxflow.driver, "bounded_flow_attempts", spy)
         if not cut:
             monkeypatch.setattr(emaxflow.driver, "_threshold_cut", lambda net, phi: np.inf)
-        approx_max_flow(G, 0.25, max_iterations=max_iterations)
+        if max_iterations is not None:
+            monkeypatch.setattr(emaxflow.mwu, "DEFAULT_ITERATION_CAP", max_iterations)
+        approx_max_flow(G, 0.25)
 
         assert runs[0][0] is None  # unit weights
         carried = None

@@ -1,4 +1,6 @@
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ from emaxflow import (
     DisconnectedNetworkError,
     FlowAssignment,
     RepairError,
+    SymmetrizedNetwork,
     electrical_st_flow,
+    parse_dimacs,
     symmetrize,
 )
 from emaxflow.electrical import (
@@ -21,7 +25,7 @@ from emaxflow.electrical import (
     default_solve_tolerance,
 )
 
-from corpus import nonempty_network, random_network
+from corpus import nonempty_network, random_network, reduction_corpus
 from oracles import (
     dense_laplacian_reference,
     laplacian_reference,
@@ -29,6 +33,7 @@ from oracles import (
     pcg_reference,
     random_conserving_flow,
     repair_values_reference,
+    spanning_tree_reference,
     sparse_laplacian_reference,
 )
 
@@ -419,6 +424,87 @@ class TestRepairMatchesReference:
         ref = repair_values_reference(net, vals, 0.0)
         assert np.array_equal(np.signbit(out), np.signbit(ref))
         assert np.signbit(out).all()
+
+
+def matching_bench_network() -> SymmetrizedNetwork:
+    """The first instance of the benchmark's ``matching`` workload at seed
+    1 (602 vertices), symmetrized at the solver's eps' = eps/4."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    inst = runpy.run_path(str(path))["workload"]("matching", 1)[0]
+    return symmetrize(parse_dimacs(inst.dimacs), inst.epsilon / 4)
+
+
+def multigraph(seed: int) -> SymmetrizedNetwork:
+    """A `SymmetrizedNetwork` built directly on random endpoints, so that it
+    has parallel edges and self-loops, and its sink may be unreachable."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 10))
+    m = int(rng.integers(0, 30))
+    tails, heads = rng.integers(0, n, m), rng.integers(0, n, m)
+    return SymmetrizedNetwork(
+        n, 0, n - 1, 0.25, tails, heads, np.ones(m), np.zeros(m, dtype=np.int8),
+        np.arange(m), np.ones(m),
+    )
+
+
+def assert_tree_is_reference(net: SymmetrizedNetwork):
+    """The solve context's component and repair-tree levels are those of
+    `spanning_tree_reference`: the same vertices, parents and parent edges."""
+    ctx = _st_context(net)
+    order, parent_vertex, parent_edge = spanning_tree_reference(net)
+    in_tree = np.zeros(net.vertex_count, dtype=bool)
+    in_tree[order] = True
+    assert np.array_equal(ctx.outside, np.flatnonzero(~in_tree))
+    assert ctx.connected == bool(in_tree[net.sink])
+    if ctx.connected:
+        assert np.array_equal(ctx.idx, np.flatnonzero(in_tree))
+    depth = np.zeros(net.vertex_count, dtype=np.int64)
+    for v in order[1:]:
+        depth[v] = depth[parent_vertex[v]] + 1
+    levels = ctx.tree_levels
+    # Every non-root vertex once, deepest level first, each level in
+    # reversed BFS order.
+    assert np.array_equal(
+        np.concatenate([verts for verts, *_ in levels] or [order[:0]]), order[:0:-1]
+    )
+    assert [int(depth[verts[0]]) for verts, *_ in levels] == list(range(int(depth.max()), 0, -1))
+    for verts, parents, edges, signs in levels:
+        assert (depth[verts] == depth[verts[0]]).all()
+        assert np.array_equal(edges, parent_edge[verts])
+        if depth[verts[0]] == 1:
+            assert parents is None
+        else:
+            assert np.array_equal(parents, parent_vertex[verts])
+        assert np.array_equal(signs, np.where(net.tails[edges] == verts, 1.0, -1.0))
+
+
+class TestRepairTreeMatchesReference:
+    """The solve context builds the reference loop's BFS tree."""
+
+    def test_corpus(self):
+        for G in reduction_corpus():
+            assert_tree_is_reference(symmetrize(G, 0.25))
+
+    def test_parallel_edges_and_self_loops(self):
+        # Arcs into the source and out of the sink give self-loop links,
+        # and several arcs into one vertex give parallel source links.
+        G = DirectedNetwork(5, [(1, 0, 1), (4, 2, 2), (0, 1, 1), (2, 1, 3), (3, 1, 1), (1, 4, 2)], 0, 4)
+        assert_tree_is_reference(symmetrize(G, 0.25))
+        for seed in range(200):
+            assert_tree_is_reference(multigraph(seed))
+
+    def test_unreachable_sink(self):
+        net = SymmetrizedNetwork(
+            5, 0, 4, 0.25, np.array([0, 1, 3, 2]), np.array([1, 2, 4, 2]), np.ones(4),
+            np.zeros(4, dtype=np.int8), np.arange(4), np.ones(4),
+        )
+        assert not _st_context(net).connected
+        assert_tree_is_reference(net)
+
+    def test_matching_bench_instance(self):
+        net = matching_bench_network()
+        assert net.vertex_count == 602
+        assert_tree_is_reference(net)
 
 
 class TestDenseLaplacianMatchesReference:
