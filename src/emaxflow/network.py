@@ -279,13 +279,8 @@ class FlowAssignment:
         return self.network.incidence @ self.values
 
     def interior_residual_max(self) -> float:
-        resid = self.residuals()
-        mask = np.ones(self.network.vertex_count, dtype=bool)
-        mask[self.network.source] = False
-        mask[self.network.sink] = False
-        if not mask.any():
-            return 0.0
-        return float(np.abs(resid[mask]).max())
+        resid = np.abs(self.residuals()[_interior_mask(self.network)])
+        return float(resid.max()) if len(resid) else 0.0
 
     def source_outflow(self) -> float:
         """Net outflow at the source, without any conservation check."""
@@ -298,25 +293,31 @@ class FlowAssignment:
         return f"FlowAssignment(edges={len(self.values)}, value~{self.source_outflow():.6g})"
 
 
+def _interior_mask(net: Network) -> np.ndarray:
+    """True at every vertex other than the source and the sink."""
+    mask = np.ones(net.vertex_count, dtype=bool)
+    mask[net.source] = False
+    mask[net.sink] = False
+    return mask
+
+
 def flow_value(flow: FlowAssignment) -> float:
     """Value of a conserving flow: its net outflow at the source.
 
-    Raises `ConservationError` if any vertex other than the source or sink
-    has a conservation residual above 1e-9 times the largest flow
-    magnitude (at least 1).
+    Raises `ConservationError`, naming the first vertex that fails, if any
+    vertex other than the source or sink has a conservation residual above
+    1e-9 times the largest flow magnitude (at least 1).
     """
     scale = max(1.0, float(np.abs(flow.values).max()) if len(flow.values) else 0.0)
     tol = _VALUE_RTOL * scale
     resid = flow.residuals()
-    net = flow.network
-    for v in range(net.vertex_count):
-        if v in (net.source, net.sink):
-            continue
-        if abs(resid[v]) > tol:
-            raise ConservationError(
-                f"conservation residual {resid[v]:.3e} at vertex {v} exceeds {tol:.3e}"
-            )
-    return float(resid[net.source])
+    bad = np.flatnonzero(_interior_mask(flow.network) & (np.abs(resid) > tol))
+    if len(bad):
+        v = int(bad[0])
+        raise ConservationError(
+            f"conservation residual {resid[v]:.3e} at vertex {v} exceeds {tol:.3e}"
+        )
+    return float(resid[flow.network.source])
 
 
 def parse_dimacs(text: str | TextIO) -> DirectedNetwork:
@@ -402,12 +403,16 @@ def parse_dimacs(text: str | TextIO) -> DirectedNetwork:
 
 
 def write_dimacs(network: DirectedNetwork, fp: TextIO | None = None) -> str:
-    """Serialize a network in DIMACS max-flow format (1-based vertex ids)."""
+    """Serialize a network in DIMACS max-flow format (1-based vertex ids).
+
+    Capacities print with 17 significant digits, enough for every float to
+    parse back to itself; integral ones print as integers.
+    """
     lines = [f"p max {network.vertex_count} {network.edge_count}"]
     lines.append(f"n {network.source + 1} s")
     lines.append(f"n {network.sink + 1} t")
     for u, v, c in zip(network.tails, network.heads, network.capacities):
-        lines.append(f"a {u + 1} {v + 1} {c:.12g}")
+        lines.append(f"a {u + 1} {v + 1} {c:.17g}")
     text = "\n".join(lines) + "\n"
     if fp is not None:
         fp.write(text)

@@ -1,23 +1,24 @@
 """Recover a feasible directed flow from a bounded symmetrized flow.
 
-Pipeline: subtract the canonical per-arc link routing and halve, cancel all
-directed cycles in the result, then read the original-edge flows back onto
-the arcs.  If some arc exceeds its capacity, the arc flow is both scaled
-down once by the worst capacity ratio and decomposed into s-t paths, each
-pushed only up to the capacity the earlier paths left free (flow
-decomposition; Ahuja, Magnanti and Orlin, *Network Flows*, ch. 3); the
-larger of the two flows is kept.
+Pipeline: subtract the canonical per-arc link routing and halve, then read
+s-t paths off the original edges in one depth-first walk (flow
+decomposition; Ahuja, Magnanti and Orlin, *Network Flows*, ch. 3).  The
+walk cancels every cycle it meets and drops the arc into every dead end,
+the vertices whose arc inflow the halved flow returns to the source over a
+link.  The paths it reads add up to the path flow.  If some arc of the
+path flow exceeds its capacity, that flow is both scaled down once by the
+worst capacity ratio and truncated, each path pushed only up to the
+capacity the earlier paths left free; the larger of the two is kept.
 
 Which cycles are cancelled and which paths are cut first decide how much
-of the flow survives, so both walks take vertices and edges in an order
-read off the flow's values (`magnitude_order`, and the fullest arcs first
-in the path walk), not in id order.  A renumbered input then recovers the
-same flow, renumbered, up to ties and rounding.
+of the flow survives, so the walk takes each vertex's out-arcs fullest
+first, an order read off the flow's values rather than the numbering.  A
+renumbered input then recovers the same flow, renumbered, up to ties and
+rounding.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,8 @@ class RecoveryResult:
     """A feasible directed flow extracted from the undirected solve.
 
     ``scaled`` is true when the returned flow is the one scaled down by
-    ``max_capacity_ratio``, the worst arc-flow-to-capacity ratio before
-    recovery made the flow feasible.
+    ``max_capacity_ratio``, the worst arc-flow-to-capacity ratio of the path
+    flow read off the input, before recovery made it feasible.
     """
 
     directed_flow: FlowAssignment
@@ -84,40 +85,16 @@ def subtract_and_halve(flow: FlowAssignment) -> FlowAssignment:
     return FlowAssignment(net, vals)
 
 
-def magnitude_order(flow: FlowAssignment) -> tuple[list[int], list[int]]:
-    """The flow's vertices by throughput (summed |flow| on their edges) and
-    its edges by |flow|, largest first, ties in id order: the ``roots``
-    and ``edges`` orders `recover_directed_flow` gives `cycle_cancel`.
-
-    Both orders come from the flow's values alone, so a renumbered copy of
-    a flow is read in the same order, up to ties.  Python's ``sorted``
-    orders them: a first NumPy sort would fault in code pages that show in
-    the solve's peak memory (see `driver._threshold_cut`).
-    """
-    net = flow.network
-    mag = np.abs(flow.values)
-    n = net.vertex_count
-    through = (np.bincount(net.tails, mag, n) + np.bincount(net.heads, mag, n)).tolist()
-    size = mag.tolist()
-    roots = sorted(range(n), key=through.__getitem__, reverse=True)
-    edges = sorted(range(len(size)), key=size.__getitem__, reverse=True)
-    return roots, edges
-
-
-def cycle_cancel(
-    flow: FlowAssignment,
-    roots: Sequence[int] | None = None,
-    edges: Sequence[int] | None = None,
-) -> FlowAssignment:
+def cycle_cancel(flow: FlowAssignment) -> FlowAssignment:
     """Remove all directed cycles from the flow's support, preserving value.
 
     Edges are oriented by the sign of their flow.  A depth-first search
     from each root in turn, scanning each vertex's out-edges in turn,
     finds a directed cycle and subtracts the cycle's minimum flow.  Roots
-    are taken in the order ``roots`` and out-edges in the order ``edges``
-    lists them; by default roots in id order and edges in index order.
-    No edge's magnitude ever increases, and each cancellation zeroes at
-    least one edge, so this terminates with an acyclic support.
+    are taken in id order and out-edges in index order.  No edge's
+    magnitude ever increases, and each cancellation zeroes at least one
+    edge, so this terminates with an acyclic support.  Recovery does not
+    call it: its path walk cancels the cycles it meets.
 
     Cancelling subtracts at most an edge's own magnitude, so no sign ever
     flips: each edge sits once, on the out-list of its flow tail, for the
@@ -128,9 +105,8 @@ def cycle_cancel(
     cycle edge; the path up to there is what a retreat to the cycle's
     entry vertex would rebuild.  So the result equals, bit for bit, that
     of a search in the same orders that rescans every vertex from its
-    first edge and retreats to the entry vertex (the tests keep one, in
-    the default orders, as a reference), at a cost of O(m + total length
-    of the cancelled cycles).
+    first edge and retreats to the entry vertex (the tests keep one as a
+    reference), at a cost of O(m + total length of the cancelled cycles).
     """
     net = flow.network
     vals = np.array(flow.values)
@@ -146,7 +122,7 @@ def cycle_cancel(
     flow_tail = np.where(fwd, tails, heads).tolist()
     x = vals.tolist()
     out: list[list[int]] = [[] for _ in range(n)]
-    for k in range(len(x)) if edges is None else edges:
+    for k in range(len(x)):
         if x[k] != 0.0:
             out[flow_tail[k]].append(k)
 
@@ -154,7 +130,7 @@ def cycle_cancel(
     ptr = [0] * n
     pos_on_path = [-1] * n
 
-    for root in range(n) if roots is None else roots:
+    for root in range(n):
         if color[root] != 0:
             continue
         color[root] = 1
@@ -198,23 +174,30 @@ def cycle_cancel(
     return FlowAssignment(net, x)
 
 
-def _truncate_paths(arc_vals: np.ndarray, network: DirectedNetwork) -> np.ndarray:
-    """Decompose an acyclic arc flow into s-t paths and push each path only
-    up to the capacity the earlier paths left free.
+def _path_flows(
+    arc_vals: np.ndarray, network: DirectedNetwork
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decompose a nonnegative arc flow into s-t paths: the path flow, and
+    the flow that pushes each path only up to the capacity the earlier
+    paths left free.
 
     A depth-first walk from the source scans each vertex's positive
     out-arcs fullest first (ties in index order), so the paths it finds
-    do not depend on how the arcs are numbered.  At the sink, the path's
-    bottleneck is taken out of the flow being decomposed, and the smaller
-    of the bottleneck and the path's free capacity is pushed; the walk
-    then retreats to the tail of the first arc that emptied.  A vertex
-    whose out-arcs are empty, left so by rounding residue in conservation,
-    is a dead end: the arc into it is emptied and the walk steps back one
-    vertex.  An arc back onto the current path, which an acyclic input
-    never has, is emptied too.  Arc flows only shrink and an empty arc
-    stays empty, so each vertex's scan pointer persists, and the walk
-    costs O(m log m) for the order plus O(m + total path length).  The
-    result is a sum of s-t paths within capacity.
+    do not depend on how the arcs are numbered.  An arc back onto the
+    current path closes a cycle, and the cycle's bottleneck is subtracted
+    around it.  At the sink, the path's bottleneck is taken out of the flow
+    and added to the path flow, and the smaller of the bottleneck and the
+    path's free capacity is pushed.  After either, the walk retreats to
+    the tail of the first arc that emptied.  A vertex whose out-arcs are
+    empty is a dead end: the arc into it is emptied and the walk steps
+    back one vertex.
+
+    Cancelling a cycle or taking out a path leaves every interior vertex's
+    imbalance as it was, so a dead end's arc inflow is at most what its
+    links return to the source, and the path flow is worth at least the
+    input's value.  Arc flows only shrink and an empty arc stays empty, so
+    each vertex's scan pointer persists, and the walk costs O(m log m)
+    for the order plus O(m + total length of the paths and cycles).
     """
     s, t = network.source, network.sink
     tails = network.tails.tolist()
@@ -226,8 +209,10 @@ def _truncate_paths(arc_vals: np.ndarray, network: DirectedNetwork) -> np.ndarra
         if x[k] > 0.0:
             out[tails[k]].append(k)
     ptr = [0] * network.vertex_count
-    on_path = [False] * network.vertex_count
-    on_path[s] = True
+    # pos[v] is the place on the path of the arc out of v; -1 off the path.
+    pos = [-1] * network.vertex_count
+    pos[s] = 0
+    p = [0.0] * len(x)
     y = [0.0] * len(x)
     path: list[int] = []
     u = s
@@ -242,45 +227,48 @@ def _truncate_paths(arc_vals: np.ndarray, network: DirectedNetwork) -> np.ndarra
                 break
             k = path.pop()
             x[k] = 0.0
-            on_path[u] = False
+            pos[u] = -1
             u = tails[k]
             continue
         k = adj[i]
         w = heads[k]
-        if on_path[w]:
-            x[k] = 0.0
-            continue
         path.append(k)
-        if w != t:
-            on_path[w] = True
+        if w == t:
+            start = 0
+            c = min([x[e] for e in path])
+            push = min(c, min([free[e] for e in path]))
+            for e in path:
+                x[e] -= c
+                p[e] += c
+                y[e] += push
+                free[e] -= push
+        elif pos[w] < 0:
+            pos[w] = len(path)
             u = w
             continue
-        c = min([x[e] for e in path])
-        push = min(c, min([free[e] for e in path]))
-        cut = -1
-        for j, e in enumerate(path):
-            x[e] -= c
-            if x[e] == 0.0 and cut < 0:
-                cut = j
-            y[e] += push
-            free[e] -= push
+        else:
+            start = pos[w]
+            c = min([x[e] for e in path[start:]])
+            for e in path[start:]:
+                x[e] -= c
+        cut = next(j for j in range(start, len(path)) if x[path[j]] == 0.0)
         for e in path[cut:-1]:
-            on_path[heads[e]] = False
+            pos[heads[e]] = -1
         u = tails[path[cut]]
         del path[cut:]
-    return np.array(y)
+    return np.array(p), np.array(y)
 
 
 def extract_directed(flow: FlowAssignment, network: DirectedNetwork) -> RecoveryResult:
-    """Map an acyclic symmetrized flow back onto the arcs of ``network``.
+    """Read a halved symmetrized flow back onto the arcs of ``network``.
 
-    Link edges must carry (numerically) zero flow and original edges must be
-    nonnegative.  If some arc exceeds its capacity, two feasible flows are
-    formed: the whole flow scaled by the worst capacity ratio, which
-    recovery's range bounds keep at most (1+eps), and the path-truncated
-    flow of `_truncate_paths`.  The truncated one is returned only if it is
-    worth strictly more, so the result is never worth less than the scaled
-    flow, and a tie keeps the scaled flow.
+    Only the original edges are read, and they must be nonnegative.  The
+    path flow of `_path_flows` is returned if it is within capacity.
+    Otherwise two feasible flows are formed: the path flow scaled by its
+    worst capacity ratio, which recovery's range bounds keep at most
+    (1+eps), and the truncated flow.  The truncated one is returned only if
+    it is worth strictly more, so the result is never worth less than the
+    scaled flow, and a tie keeps the scaled flow.
     """
     net = flow.network
     if not isinstance(net, SymmetrizedNetwork):
@@ -288,27 +276,20 @@ def extract_directed(flow: FlowAssignment, network: DirectedNetwork) -> Recovery
     if net.m_arcs != network.edge_count:
         raise ValueError("symmetrized network does not match the directed network")
     cap_scale = float(net.capacities.max()) if net.edge_count else 1.0
-    link_tol = _RANGE_RTOL * max(1.0, cap_scale)
-    original = np.asarray(net.provenance == Provenance.ORIGINAL)
-    link_vals = flow.values[~original]
-    if len(link_vals) and float(np.abs(link_vals).max()) > link_tol:
-        raise RecoveryError(
-            f"link edge still carries {np.abs(link_vals).max():.3e} after canceling"
-        )
-    arc_vals = np.array(flow.values[original])
-    if len(arc_vals) and float(arc_vals.min()) < -link_tol:
+    arc_vals = np.array(flow.values[np.asarray(net.provenance == Provenance.ORIGINAL)])
+    if len(arc_vals) and float(arc_vals.min()) < -_RANGE_RTOL * max(1.0, cap_scale):
         raise RecoveryError(f"negative original-edge flow {arc_vals.min():.3e}")
     np.clip(arc_vals, 0.0, None, out=arc_vals)
+    path_vals, truncated_vals = _path_flows(arc_vals, network)
 
     caps = network.capacities
-    ratio = float((arc_vals / caps).max()) if len(arc_vals) else 0.0
+    ratio = float((path_vals / caps).max()) if len(path_vals) else 0.0
     scaled = ratio > 1.0
-    scaled_vals = arc_vals / ratio if scaled else arc_vals
+    scaled_vals = path_vals / ratio if scaled else path_vals
     directed = FlowAssignment(network, np.clip(scaled_vals, 0.0, caps))
     value = directed.source_outflow()
     if scaled:
-        truncated_vals = np.clip(_truncate_paths(arc_vals, network), 0.0, caps)
-        truncated = FlowAssignment(network, truncated_vals)
+        truncated = FlowAssignment(network, np.clip(truncated_vals, 0.0, caps))
         truncated_value = truncated.source_outflow()
         if truncated_value > value:
             directed, value, scaled = truncated, truncated_value, False
@@ -321,8 +302,5 @@ def extract_directed(flow: FlowAssignment, network: DirectedNetwork) -> Recovery
 
 
 def recover_directed_flow(flow: FlowAssignment, network: DirectedNetwork) -> RecoveryResult:
-    """Full pipeline: subtract and halve, cancel cycles in `magnitude_order`,
-    extract arc flows."""
-    halved = subtract_and_halve(flow)
-    acyclic = cycle_cancel(halved, *magnitude_order(halved))
-    return extract_directed(acyclic, network)
+    """Full pipeline: subtract and halve, then extract the arc flows."""
+    return extract_directed(subtract_and_halve(flow), network)

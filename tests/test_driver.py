@@ -242,12 +242,14 @@ class TestCutCertifiedProbes:
         assert report.oracle_calls < report0.oracle_calls
 
     def test_c6_instance_6_skips_its_hopeless_probes(self):
-        # Four of its six probes lie above (1+eps') F*; they took 8,699 of
-        # its 9,335 oracle calls before the cut decided them.
+        # Its first probe recovers F* = 5 in 7 oracle calls; the seven
+        # probes after it lie above (1+eps') F*, and the cut decides them
+        # with no call.  Before the cut, such probes took 8,699 of its
+        # 9,335 oracle calls.
         G = random_sized_network(1006, 10, 22)
         rec, report = approx_max_flow(G, 0.1)
-        assert rec.value == pytest.approx(4.974609374999996, rel=1e-12)
-        assert report.search_iterations == 6 and report.fail_count == 4
+        assert rec.value == pytest.approx(5.0, rel=1e-12)
+        assert report.search_iterations == 8 and report.fail_count == 7
         assert report.oracle_calls < 1_000
 
     def test_upper_bound_is_certified(self):
@@ -267,9 +269,10 @@ class TestWarmStart:
             # With the cut off, probes above F* reach the oracle and fail on
             # energy between successes.
             (grid_network(3, 3, 3), False, None),
-            # A tiny budget leaves the second probe unknown after its resume:
-            # it needs 109 calls, against 40 in two budgets of 20.
-            (grid_network(0, 4, 4), True, 10),
+            # A tiny budget leaves the third probe unknown after its resume
+            # at 40 calls, two budgets of 20; it starts from the first
+            # probe's weights, across a one-call energy failure.
+            (grid_network(2, 4, 4), True, 10),
         ],
     )
     def test_probes_start_from_the_last_uncertified_weights(
@@ -315,7 +318,9 @@ class TestRecoveryFailure:
         # The second probe succeeds, but its recovery is made to fail: it
         # counts as a failure, the next probe sits a quarter of the way
         # from the best value up to it, and starts from its final weights.
-        G = diamond()
+        # On the diamond the first recovery is worth F* and ends the search;
+        # on this path, with F* = 2, it is worth about 1.74.
+        G = DirectedNetwork(4, [(0, 1, 2), (1, 2, 3), (2, 3, 2)], 0, 3)
         eps_i = 0.25 / 4
         probes = []  # [probe value, start weights, last result] of each run
         recovered = []  # (probe index, value or None when made to fail)

@@ -78,6 +78,13 @@ class TestParseDimacs:
         assert again.arcs == net.arcs
         assert (again.source, again.sink) == (net.source, net.sink)
 
+    def test_roundtrip_keeps_every_bit_of_fractional_capacities(self):
+        caps = [0.1 + 0.2, 1.0 / 3.0, 2.5e-7, 123456.789012345678, 7.0]
+        net = DirectedNetwork(3, [(0, 1, c) for c in caps[:3]] + [(1, 2, c) for c in caps[3:]], 0, 2)
+        again = parse_dimacs(write_dimacs(net))
+        assert again.capacities.tolist() == net.capacities.tolist()
+        assert write_dimacs(net).splitlines()[-1] == "a 2 3 7"
+
 
 class TestDirectedNetwork:
     def test_source_equals_sink_rejected(self):
@@ -171,6 +178,14 @@ class TestFlowValue:
         f = FlowAssignment(G, [1.0, 0.25])
         with pytest.raises(ConservationError, match="vertex 1"):
             flow_value(f)
+
+    def test_first_failing_vertex_named(self):
+        # Vertices 1 and 3 both fail; the source (0) and sink (4) never do.
+        G = DirectedNetwork(5, [(0, 1, 9.0), (1, 2, 9.0), (2, 3, 9.0), (3, 4, 9.0)], 0, 4)
+        f = FlowAssignment(G, [5.0, 2.0, 2.0, 1.0])
+        with pytest.raises(ConservationError, match=r"3\.000e\+00 at vertex 1 "):
+            flow_value(f)
+        assert flow_value(FlowAssignment(G, [2.0, 2.0, 2.0, 2.0])) == 2.0
 
     def test_wrong_length_rejected(self):
         G = DirectedNetwork(2, [(0, 1, 1.0)], 0, 1)

@@ -16,7 +16,6 @@ from emaxflow.recovery import (
     cycle_cancel,
     extract_directed,
     link_routing_values,
-    magnitude_order,
     subtract_and_halve,
 )
 
@@ -41,6 +40,49 @@ def on_arcs(G, arc_vals):
     vals = np.zeros(net.edge_count)
     vals[np.asarray(net.provenance == Provenance.ORIGINAL)] = arc_vals
     return FlowAssignment(net, vals)
+
+
+def balanced_by_links(G, eps, arc_vals):
+    """The bounded symmetrized flow whose halved flow carries ``arc_vals``
+    (each in [0, (1+eps)u]) on the original edges and balances every
+    interior vertex over its links.  An excess returns to the source over
+    the vertex's source links, and a deficit comes from the sink over its
+    sink links, each split in proportion to the arcs' capacities.  Returns
+    the bounded flow and its halved flow's value V."""
+    n, s, t = G.vertex_count, G.source, G.sink
+    caps = G.capacities
+    excess = np.bincount(G.heads, arc_vals, n) - np.bincount(G.tails, arc_vals, n)
+    excess[[s, t]] = 0.0
+    into = np.bincount(G.heads, caps, n)
+    out = np.bincount(G.tails, caps, n)
+    gain = np.divide(np.maximum(excess, 0.0), into, out=np.zeros(n), where=into > 0)
+    loss = np.divide(np.maximum(-excess, 0.0), out, out=np.zeros(n), where=out > 0)
+    net = symmetrize(G, eps)
+    halved = np.stack([arc_vals, -gain[G.heads] * caps, -loss[G.tails] * caps], axis=1)
+    halved = FlowAssignment(net, halved.ravel())
+    f = FlowAssignment(net, 2.0 * halved.values + link_routing_values(net))
+    return f, halved.source_outflow()
+
+
+def cyclic_flow_with_links(seed, eps, noise):
+    """A positive maximum flow of a random network scaled up by up to
+    (1+eps), plus random flow on about half the arcs (``noise`` of (1+eps)u
+    at most), balanced by links: arc flow with cycles and dead ends."""
+    from emaxflow import exact_max_flow
+
+    while True:
+        G = nonempty_network(seed, n_min=4)
+        fstar, witness = exact_max_flow(G)
+        if fstar > 0:
+            break
+        seed += 100_003
+    rng = np.random.default_rng(seed)
+    bound = (1.0 + eps) * G.capacities
+    hit = rng.random(G.edge_count) < 0.5
+    arc_vals = witness.values * rng.uniform(1.0, 1.0 + eps)
+    arc_vals = arc_vals + hit * noise * rng.uniform(0.0, 1.0, G.edge_count) * bound
+    arc_vals = np.minimum(arc_vals, bound)
+    return (G, *balanced_by_links(G, eps, arc_vals))
 
 
 class TestSubtractAndHalve:
@@ -215,11 +257,17 @@ class TestExtractDirected:
         assert rec.value == 0.0
         assert not rec.scaled
 
-    def test_nonzero_link_rejected(self):
+    def test_link_flow_is_not_read(self):
+        # The source link returns 0.5 to the source, so the halved flow is
+        # worth V = 0.5, which cancelling cycles first would recover; the
+        # walk reads only the arc, and its one path carries 1.0.
         G, net = single_arc()
         f = FlowAssignment(net, [1.0, -0.5, 0.0])
-        with pytest.raises(RecoveryError, match="link"):
-            extract_directed(f, G)
+        assert cycle_cancel(f).values.tolist() == [0.5, 0.0, 0.0]
+        rec = extract_directed(f, G)
+        assert rec.value == 1.0
+        assert not rec.scaled
+        assert rec.max_capacity_ratio == 1.0
 
     def test_negative_original_rejected(self):
         G, net = single_arc()
@@ -257,9 +305,10 @@ class TestTruncatePaths:
         assert rec.directed_flow.values == pytest.approx([1.0, 0.5, 0.5, 0.5, 1.0])
 
     def test_dead_end_from_rounding_residue(self):
-        # Vertex 2 receives 1e-12 and has no out-arc; the walk takes the
+        # Vertex 2 receives 1e-12 and has no out-arc, as a vertex whose
+        # inflow a link returns to the source would; the walk takes the
         # path 0-1-3 first (fullest arcs first), then steps from vertex 1
-        # into 2 with 1e-12 left on (0, 1).
+        # into 2 with 1e-12 left on (0, 1) and drops the arc into it.
         G = DirectedNetwork(
             4, [(0, 1, 1.0), (1, 2, 1.0), (1, 3, 1.0), (0, 3, 1.0)], 0, 3
         )
@@ -273,8 +322,8 @@ class TestTruncatePaths:
         assert out.values[1] == 0.0
 
     def test_cyclic_input_terminates_feasible(self):
-        # Not an input recovery makes (cycle_cancel runs first), but the
-        # walk must still end: the arc back onto its path is dropped.
+        # The walk takes 0-1-2-3 first, fullest arcs first; what is left,
+        # 0.3 around the cycle 1-2-1, is cancelled when the walk meets it.
         G = DirectedNetwork(
             4, [(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0), (2, 3, 1.0)], 0, 3
         )
@@ -284,6 +333,30 @@ class TestTruncatePaths:
         assert (out.values >= 0).all() and (out.values <= G.capacities).all()
         assert out.interior_residual_max() <= 1e-9
         assert rec.value >= scaled_recovery_reference(f, G).source_outflow()
+
+    def test_cycle_cancelled_not_its_back_arc_emptied(self):
+        # The walk runs 0-1-2 and meets 1 again over (2, 1).  Cancelling
+        # the cycle 1-2-1 leaves the paths 0-1-3 and 0-2-3, worth 2 = V.
+        # Emptying the back arc instead would take 0-1-2-3 and leave 2 a
+        # dead end, worth 1.  The sink link of arc (1, 3) carries the unit
+        # that enters 1 from the sink.
+        G = DirectedNetwork(
+            4,
+            [(0, 1, 2.0), (1, 2, 2.0), (0, 2, 2.0), (2, 3, 2.0), (2, 1, 2.0), (1, 3, 2.0)],
+            0,
+            3,
+        )
+        net = symmetrize(G, 0.25)
+        vals = np.zeros(net.edge_count)
+        vals[np.asarray(net.provenance == Provenance.ORIGINAL)] = [1, 2, 1, 1, 2, 2]
+        vals[3 * 5 + 2] = -1.0
+        f = FlowAssignment(net, vals)
+        assert f.interior_residual_max() == 0.0
+        assert f.value() == 2.0
+        rec = extract_directed(f, G)
+        assert rec.value == 2.0
+        assert not rec.scaled
+        assert rec.directed_flow.values.tolist() == [1.0, 0.0, 1.0, 1.0, 0.0, 1.0]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -319,37 +392,51 @@ class TestTruncatePaths:
         vals[orig] += 2.0 * directed
         f = FlowAssignment(net, vals)
         rec = recover_directed_flow(f, G)
-        halved = subtract_and_halve(f)
-        acyclic = cycle_cancel(halved, *magnitude_order(halved))
-        assert rec.value >= scaled_recovery_reference(acyclic, G).source_outflow()
+        # The path flow is worth at least V, the halved flow's value, and
+        # the scaled one V / ratio; the path sums round on their own.
+        V = subtract_and_halve(f).source_outflow()
+        assert rec.value >= V / max(1.0, rec.max_capacity_ratio) - 1e-12 * max(1.0, V)
         out = rec.directed_flow.values
         assert (out >= 0).all() and (out <= G.capacities).all()
         F = g * (mix * fstar + (1.0 - mix) * fh)
         assert rec.directed_flow.interior_residual_max() <= 1e-9 * max(1.0, F)
 
 
-class TestMagnitudeOrder:
-    def test_largest_first_ties_in_id_order(self):
-        G = DirectedNetwork(4, [(0, 1, 1.0), (1, 3, 1.0), (0, 2, 1.0), (2, 3, 1.0)], 0, 3)
-        f = FlowAssignment(G, [0.5, 0.5, -2.0, -2.0])
-        roots, edges = magnitude_order(f)
-        # Throughputs 2.5, 1.0, 4.0, 2.5.
-        assert roots == [2, 0, 3, 1]
-        assert edges == [2, 3, 0, 1]
+class TestCyclesAndLinks:
+    """The walk on halved flows whose arcs hold cycles and whose links
+    return or bring flow, as the solver's do."""
 
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 5000), value=st.floats(0, 4, allow_nan=False))
-    def test_any_order_cancels_every_cycle(self, seed, value):
-        G = nonempty_network(seed, n_min=3)
-        net = symmetrize(G, 0.3)
-        rng = np.random.default_rng(seed)
-        f = random_conserving_flow(net, value, rng)
-        roots = rng.permutation(net.vertex_count).tolist()
-        edges = rng.permutation(net.edge_count).tolist()
-        out = cycle_cancel(f, roots, edges)
-        assert is_acyclic_support(out)
-        assert out.value() == pytest.approx(value, abs=1e-9 * max(1.0, value))
-        assert (np.abs(out.values) <= np.abs(f.values) + 1e-12).all()
+    def test_inputs_have_cycles_and_link_flow(self):
+        # Most inputs of the property below hold a cycle, carry link flow,
+        # are worth V > 0 and are over capacity somewhere.
+        cyclic = with_links = positive = over = 0
+        for seed in range(50):
+            G, f, V = cyclic_flow_with_links(seed, 0.3, 0.2)
+            halved = subtract_and_halve(f)
+            orig = np.asarray(halved.network.provenance == Provenance.ORIGINAL)
+            cyclic += not is_acyclic_support(FlowAssignment(G, halved.values[orig]))
+            with_links += bool((halved.values[~orig] != 0.0).any())
+            positive += V > 0
+            over += recover_directed_flow(f, G).max_capacity_ratio > 1.0
+        assert cyclic >= 35 and with_links >= 45 and positive >= 35 and over >= 45
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 5000),
+        eps=st.floats(0.05, 0.5),
+        noise=st.floats(0.0, 0.5),
+    )
+    def test_worth_the_halved_value(self, seed, eps, noise):
+        G, f, V = cyclic_flow_with_links(seed, eps, noise)
+        rec = recover_directed_flow(f, G)
+        # The path flow is worth at least V and the scaled one V / ratio,
+        # up to the rounding of the path sums.
+        scale = max(1.0, float(G.capacities.sum()))
+        assert rec.value >= V / max(1.0, rec.max_capacity_ratio) - 1e-12 * scale
+        out = rec.directed_flow.values
+        assert (out >= 0).all() and (out <= G.capacities).all()
+        F = rec.value
+        assert rec.directed_flow.interior_residual_max() <= 1e-9 * max(1.0, F)
 
 
 class TestRenumbering:
@@ -357,7 +444,7 @@ class TestRenumbering:
     reads the flow in an order its values fix, not in id order."""
 
     # Seeds whose solver flow at 0.95 F* is over capacity on some arc, so
-    # that both cycle cancelling and the path walk decide the result.
+    # that the path walk decides both the scaled and the truncated flow.
     @pytest.mark.parametrize("seed", [1, 5, 7, 23, 26])
     def test_recovered_flow_follows_the_renumbering(self, seed):
         from emaxflow import exact_max_flow
