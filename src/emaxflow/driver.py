@@ -33,11 +33,9 @@ from dataclasses import MISSING, dataclass, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order
 
 from .mwu import OracleDiagnostics, bounded_flow_attempts, oracle_step
-from .network import DirectedNetwork, FlowAssignment, SymmetrizedNetwork, symmetrize
+from .network import DirectedNetwork, FlowAssignment, SymmetrizedNetwork, bfs_levels, symmetrize
 from .recovery import RecoveryError, RecoveryResult, recover_directed_flow
 
 #: The search stops once its top is within the gap of this fraction of the
@@ -231,13 +229,11 @@ def _useful_arcs(network: DirectedNetwork) -> np.ndarray:
     n = network.vertex_count
     tails, heads = network.tails, network.heads
     cand = (tails != t) & (heads != s)
-    adj = sp.csr_matrix(
-        (np.ones(int(cand.sum())), (tails[cand], heads[cand])), shape=(n, n)
-    )
+    forward, backward = tails[cand], heads[cand]
     from_s = np.zeros(n, dtype=bool)
-    from_s[breadth_first_order(adj, s, return_predecessors=False)] = True
+    from_s[np.concatenate(bfs_levels(n, forward, backward, s)[0])] = True
     to_t = np.zeros(n, dtype=bool)
-    to_t[breadth_first_order(adj.T.tocsr(), t, return_predecessors=False)] = True
+    to_t[np.concatenate(bfs_levels(n, backward, forward, t)[0])] = True
     return cand & from_s[tails] & to_t[heads]
 
 
@@ -317,7 +313,7 @@ def approx_max_flow(
     useful = _useful_arcs(network)
     pruned = DirectedNetwork(
         network.vertex_count,
-        zip(network.tails[useful], network.heads[useful], network.capacities[useful]),
+        np.stack([network.tails[useful], network.heads[useful], network.capacities[useful]], axis=1),
         network.source,
         network.sink,
     )

@@ -6,13 +6,13 @@ residual contract.  Because the iterate is only approximately conserving,
 `_repair_values` afterwards routes the leftover vertex residuals along a
 fixed spanning tree so the returned flow conserves exactly and has exactly
 the requested value.  That tree belongs to this solve alone: it is built
-here, by SciPy's breadth-first search from the source, and the network
-holds none.
+here, by `network.bfs_levels` from the source, and the network holds none.
 
 Everything that depends only on the network is built once per network and
 reused by every call: the component, the Laplacian's assembly slots, one
-`csr_matrix` whose entries each sparse call replaces, and the spanning
-tree's levels, along which the repair pushes one vectorized step per depth.
+`_SparseLaplacian` whose entries each sparse call replaces, and the
+spanning tree's levels, along which the repair pushes one vectorized step
+per depth.
 The per-call work is the same floating-point operations as the plain loops
 kept in the tests, so the results are the same bits.
 """
@@ -23,10 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order
 
-from .network import FlowAssignment, SymmetrizedNetwork
+from .network import FlowAssignment, SymmetrizedNetwork, bfs_levels, incidence_product
 
 
 class DisconnectedNetworkError(ValueError):
@@ -42,7 +40,7 @@ class RepairError(RuntimeError):
 
 
 def _pcg(
-    A: sp.csr_matrix | np.ndarray, b: np.ndarray, x: np.ndarray, atol: float
+    A: _SparseLaplacian | np.ndarray, b: np.ndarray, x: np.ndarray, atol: float
 ) -> tuple[np.ndarray, int, float]:
     """Jacobi-preconditioned CG, iterates projected against the constant vector.
 
@@ -95,7 +93,7 @@ def _repair_values(net: SymmetrizedNetwork, vals: np.ndarray, value: float) -> n
     solve was far too loose.
     """
     ctx = _st_context(net)
-    mismatch = net.incidence @ vals
+    mismatch = incidence_product(net, vals)
     mismatch[net.source] -= value
     mismatch[net.sink] += value
 
@@ -150,9 +148,33 @@ class ElectricalSolveResult:
     residual_norm: float
 
 
-# Component sizes up to this use a dense Laplacian; beyond it a prebuilt
-# CSR pattern.
+# Component sizes up to this use a dense Laplacian; beyond it a fixed
+# sparse pattern.
 _DENSE_LIMIT = 600
+
+
+class _SparseLaplacian:
+    """A square matrix stored as its pattern's entries in row-major order:
+    ``rows``, ``cols`` and ``data``.  `_StSolveContext.laplacian` replaces
+    ``data`` on every call and keeps the pattern.
+
+    ``A @ x`` sums each row's terms ``data * x[col]`` in column order,
+    starting from 0.0, as a CSR matrix-vector product does, and so gives
+    its bits.  Every diagonal entry is in the pattern.
+    """
+
+    def __init__(self, keys: np.ndarray, n: int):
+        self.n = n
+        self.rows = keys // n
+        self.cols = keys - self.rows * n
+        self.diag = np.flatnonzero(self.rows == self.cols)
+        self.data = np.zeros(len(keys))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.rows, self.data * x[self.cols], self.n)
+
+    def diagonal(self) -> np.ndarray:
+        return self.data[self.diag]
 
 
 class _StSolveContext:
@@ -164,8 +186,8 @@ class _StSolveContext:
     across every oracle call.  The component is the vertex set of the BFS
     tree that `_repair_values` routes along.  Both Laplacian paths assemble
     with one `np.bincount` into precomputed slots: a flat dense index, or
-    the CSR slot each term sums into.  The sparse path keeps one
-    `csr_matrix` and gives it each call's entries.
+    the pattern entry each term sums into.  The sparse path keeps one
+    `_SparseLaplacian` and gives it each call's entries.
     """
 
     def __init__(self, net: SymmetrizedNetwork):
@@ -195,14 +217,16 @@ class _StSolveContext:
         if self.dense:
             self._flat = flat
         else:
-            pattern = sp.coo_matrix(
-                (np.ones(len(rows)), (rows, cols)), shape=(self.n_c, self.n_c)
-            ).tocsr()
-            self._csr = pattern
-            # Rows ascend and each row's columns are sorted, so the flat
-            # indices of the stored entries ascend too.
-            row_of = np.repeat(np.arange(self.n_c), np.diff(pattern.indptr))
-            self._slot = np.searchsorted(row_of * self.n_c + pattern.indices, flat)
+            # One stable sort of the flat indices: the pattern is the
+            # distinct ones in ascending, so row-major, order, and each
+            # term's slot is the rank of its index among them.
+            by_key = np.argsort(flat, kind="stable")
+            keys = flat[by_key]
+            distinct = np.ones(len(keys), dtype=bool)
+            distinct[1:] = keys[1:] != keys[:-1]
+            self._slot = np.empty(len(keys), dtype=np.int64)
+            self._slot[by_key] = np.cumsum(distinct) - 1
+            self._sparse = _SparseLaplacian(keys[distinct], self.n_c)
 
     def laplacian(self, r: np.ndarray):
         g = 1.0 / r[self.keep]
@@ -215,8 +239,8 @@ class _StSolveContext:
             return np.bincount(self._flat, data, n * n).reshape(n, n)
         # The same matrix object each call, given fresh entries: the matrix
         # a call returns is valid only until the next call.
-        self._csr.data = np.bincount(self._slot, data, len(self._csr.indices))
-        return self._csr
+        self._sparse.data = np.bincount(self._slot, data, len(self._sparse.rows))
+        return self._sparse
 
 
 def _repair_tree(net: SymmetrizedNetwork) -> tuple[np.ndarray, list[tuple]]:
@@ -228,38 +252,20 @@ def _repair_tree(net: SymmetrizedNetwork) -> tuple[np.ndarray, list[tuple]]:
     is that edge's tail, so that a push toward the parent adds to the edge.
     Depth 1 carries no parents: its pushes go to the root, whose surplus
     the repair never reads."""
-    inc = net.incidence
-    n = net.vertex_count
-    # Row v of the incidence lists v's edges in index order, +1 where v is
-    # the tail.  A self-loop's entry is 0 and points back at v, already seen.
-    nbr = np.where(inc.data > 0, net.heads[inc.indices], net.tails[inc.indices])
-    adj = sp.csr_matrix((inc.data, nbr, inc.indptr), shape=(n, n))
-    order, parent_vertex = breadth_first_order(adj, net.source, return_predecessors=True)
-    order, parent_vertex = order.astype(np.int64), parent_vertex.astype(np.int64)
-    tails, heads = net.tails, net.heads
-    down = parent_vertex[heads] == tails
-    joins = np.flatnonzero(down | (parent_vertex[tails] == heads))
-    child = np.where(down[joins], heads[joins], tails[joins])
-    # Assigned from the last edge back, so the first edge is kept.
-    first = dict(zip(child[::-1].tolist(), joins[::-1].tolist()))
-    parent_edge = np.full(n, -1, dtype=np.int64)
-    parent_edge[list(first)] = list(first.values())
-
-    parent = parent_vertex.tolist()
-    depth = [0] * n
-    for v in order[1:].tolist():
-        depth[v] = depth[parent[v]] + 1
-    rev = order[:0:-1]
-    rev_depth = np.array(depth)[rev]
-    levels = []
-    for verts in np.split(rev, np.flatnonzero(np.diff(rev_depth)) + 1):
-        if not len(verts):
-            continue
-        edges = parent_edge[verts]
-        signs = np.where(tails[edges] == verts, 1.0, -1.0)
-        parents = parent_vertex[verts] if depth[int(verts[0])] > 1 else None
-        levels.append((verts, parents, edges, signs))
-    return order, levels
+    # Entry 2k runs from edge k's tail to its head, entry 2k + 1 back, so
+    # each vertex's entries list its edges in index order.
+    ends = np.stack([net.tails, net.heads], axis=1).ravel()
+    other = np.stack([net.heads, net.tails], axis=1).ravel()
+    levels, via = bfs_levels(net.vertex_count, ends, other, net.source)
+    tree_levels = []
+    for depth in range(len(levels) - 1, 0, -1):
+        verts = levels[depth][::-1]
+        entry = via[verts]
+        # An odd entry reaches the edge's tail.
+        signs = np.where(entry & 1, 1.0, -1.0)
+        parents = ends[entry] if depth > 1 else None
+        tree_levels.append((verts, parents, entry >> 1, signs))
+    return np.concatenate(levels), tree_levels
 
 
 def _st_context(net: SymmetrizedNetwork) -> _StSolveContext:

@@ -29,7 +29,7 @@ from .electrical import (
     default_solve_tolerance,
     electrical_st_flow,
 )
-from .network import FlowAssignment, SymmetrizedNetwork
+from .network import FlowAssignment, SymmetrizedNetwork, incidence_product
 
 # Practical cap on oracle calls per solve; the theoretical schedule
 # 2*rho*ln(edges)/eps^2 is far beyond desk scale for small eps.
@@ -172,7 +172,7 @@ def check_bounded_flow(
     bound = (1.0 + net.epsilon) * net.parent_capacity
     if not (np.abs(values) <= bound * (1.0 + _CHECK_RTOL)).all():
         return False
-    resid = net.incidence @ values
+    resid = incidence_product(net, values)
     tol = _CHECK_RTOL * max(1.0, abs(target_value))
     if not abs(resid[net.source] - target_value) <= tol:
         return False

@@ -6,7 +6,8 @@ s-v and a sink link u-t, both at (1+eps) times the arc's capacity.  All flow
 bookkeeping downstream (values, conservation residuals, congestion) lives on
 `FlowAssignment`, which works for both the directed input and its
 symmetrization.  The spanning tree along which the electrical solve repairs
-conservation is not part of the network: `electrical` builds it.
+conservation is not part of the network: `electrical` builds it, with the
+breadth-first search `bfs_levels` that also finds the arcs on s-t paths.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from functools import cached_property
 from typing import Iterable, TextIO, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class DimacsParseError(ValueError):
@@ -68,8 +68,9 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 class DirectedNetwork:
     """A directed s-t flow network with nonnegative real arc capacities.
 
-    Zero-capacity arcs and self-loops cannot carry s-t flow and are dropped
-    at construction; the drops are recorded in ``dropped``.
+    ``arcs`` holds (tail, head, capacity) triples, as an iterable or an
+    (m, 3) array.  Zero-capacity arcs and self-loops cannot carry s-t flow
+    and are dropped at construction; the drops are recorded in ``dropped``.
     """
 
     def __init__(
@@ -87,33 +88,38 @@ class DirectedNetwork:
         if source == sink:
             raise ValueError("source and sink must differ")
 
-        tails: list[int] = []
-        heads: list[int] = []
-        caps: list[float] = []
-        dropped: list[DroppedArc] = []
-        for i, (u, v, c) in enumerate(arcs):
-            u, v, c = int(u), int(v), float(c)
-            if not (0 <= u < vertex_count) or not (0 <= v < vertex_count):
+        # One pass over all arcs: the first bad arc is named, a vertex id
+        # before a capacity, and ids are truncated toward zero like `int`.
+        arr = np.array(arcs if isinstance(arcs, np.ndarray) else list(arcs), dtype=np.float64)
+        if arr.size == 0:
+            arr = arr.reshape(0, 3)
+        if arr.ndim != 2 or arr.shape[1] != 3:
+            raise ValueError("arcs must be (tail, head, capacity) triples")
+        u, v, c = np.trunc(arr[:, 0]), np.trunc(arr[:, 1]), arr[:, 2]
+        bad_vertex = ~((u >= 0) & (u < vertex_count) & (v >= 0) & (v < vertex_count))
+        bad = np.flatnonzero(bad_vertex | ~(np.isfinite(c) & (c >= 0)))
+        if len(bad):
+            i = int(bad[0])
+            if bad_vertex[i]:
                 raise ValueError(f"arc {i}: vertex out of range")
-            if not np.isfinite(c) or c < 0:
-                raise ValueError(f"arc {i}: capacity must be finite and >= 0")
-            if u == v:
-                dropped.append(DroppedArc(i, u, v, c, ArcDropReason.SELF_LOOP))
-                continue
-            if c == 0.0:
-                dropped.append(DroppedArc(i, u, v, c, ArcDropReason.ZERO_CAPACITY))
-                continue
-            tails.append(u)
-            heads.append(v)
-            caps.append(c)
-
+            raise ValueError(f"arc {i}: capacity must be finite and >= 0")
+        u, v = u.astype(np.int64), v.astype(np.int64)
+        loop = u == v
+        drop = loop | (c == 0.0)
+        self.dropped = tuple(
+            DroppedArc(
+                i, int(u[i]), int(v[i]), float(c[i]),
+                ArcDropReason.SELF_LOOP if loop[i] else ArcDropReason.ZERO_CAPACITY,
+            )
+            for i in np.flatnonzero(drop).tolist()
+        )
+        keep = ~drop
         self.vertex_count = vertex_count
         self.source = int(source)
         self.sink = int(sink)
-        self.dropped = tuple(dropped)
-        self.tails = _readonly(np.asarray(tails, dtype=np.int64))
-        self.heads = _readonly(np.asarray(heads, dtype=np.int64))
-        self.capacities = _readonly(np.asarray(caps, dtype=np.float64))
+        self.tails = _readonly(u[keep])
+        self.heads = _readonly(v[keep])
+        self.capacities = _readonly(c[keep])
 
     @property
     def edge_count(self) -> int:
@@ -124,9 +130,8 @@ class DirectedNetwork:
         return list(zip(self.tails.tolist(), self.heads.tolist(), self.capacities.tolist()))
 
     @cached_property
-    def incidence(self) -> sp.csr_matrix:
-        """Signed vertex-edge incidence: +1 at the tail, -1 at the head."""
-        return _incidence_matrix(self.vertex_count, self.tails, self.heads)
+    def _incidence_ends(self) -> tuple[np.ndarray, np.ndarray | None]:
+        return _incidence_ends(self.tails, self.heads)
 
     def out_capacity(self, v: int) -> float:
         return float(self.capacities[self.tails == v].sum())
@@ -186,8 +191,8 @@ class SymmetrizedNetwork:
         return len(self.tails)
 
     @cached_property
-    def incidence(self) -> sp.csr_matrix:
-        return _incidence_matrix(self.vertex_count, self.tails, self.heads)
+    def _incidence_ends(self) -> tuple[np.ndarray, np.ndarray | None]:
+        return _incidence_ends(self.tails, self.heads)
 
     def __repr__(self) -> str:
         return (
@@ -199,14 +204,74 @@ class SymmetrizedNetwork:
 Network = Union[DirectedNetwork, SymmetrizedNetwork]
 
 
-def _incidence_matrix(n: int, tails: np.ndarray, heads: np.ndarray) -> sp.csr_matrix:
-    e = len(tails)
-    if e == 0:
-        return sp.csr_matrix((n, 0))
-    rows = np.concatenate([tails, heads])
-    cols = np.concatenate([np.arange(e), np.arange(e)])
-    data = np.concatenate([np.ones(e), -np.ones(e)])
-    return sp.coo_matrix((data, (rows, cols)), shape=(n, e)).tocsr()
+def _incidence_ends(tails: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The ends of every edge that is not a self-loop, edge by edge with the
+    tail before the head, and the indices of those edges (None when no edge
+    is a self-loop)."""
+    keep = tails != heads
+    ends = np.stack([tails[keep], heads[keep]], axis=1).ravel()
+    return ends, None if keep.all() else np.flatnonzero(keep)
+
+
+def incidence_product(net: Network, values: np.ndarray) -> np.ndarray:
+    """``B @ values`` for the signed vertex-edge incidence ``B`` (+1 at the
+    tail, -1 at the head): each vertex's net outflow under edge values.
+
+    Each vertex sums its terms in edge order, starting from 0.0, which is
+    the order, and so the bits, of a CSR incidence product.  A self-loop's
+    terms cancel and are left out.
+    """
+    ends, keep = net._incidence_ends
+    v = values if keep is None else values[keep]
+    terms = np.empty(len(ends))
+    terms[0::2] = v
+    np.negative(v, out=terms[1::2])
+    return np.bincount(ends, terms, net.vertex_count)
+
+
+def bfs_levels(
+    n: int, rows: np.ndarray, nbrs: np.ndarray, start: int
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Breadth-first search from ``start`` along the entries
+    ``rows[j] -> nbrs[j]`` of a graph on ``n`` vertices.
+
+    Each vertex's entries are scanned in index order.  A level's
+    candidates are its vertices' entry lists, concatenated in level order,
+    and the first occurrence of each vertex not yet seen joins the next
+    level, reached by that entry: the visiting order of a first-in
+    first-out queue.  Returns the levels, level 0 being ``[start]``, and
+    for each vertex the entry it was reached by, -1 for the start and for
+    vertices not reached.  O(n + len(rows)) overall, one step per level.
+    """
+    by_row = np.argsort(rows, kind="stable")
+    targets = nbrs[by_row]
+    counts = np.bincount(rows, minlength=n)
+    first_entry = np.cumsum(counts) - counts
+    via = np.full(n, -1, dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)
+    seen[start] = True
+    # Earliest candidate index per vertex within one level; reset after it.
+    unset = len(rows)
+    earliest = np.full(n, unset, dtype=np.int64)
+    frontier = np.array([start], dtype=np.int64)
+    levels = [frontier]
+    while True:
+        lens = counts[frontier]
+        offsets = np.cumsum(lens) - lens
+        pos = np.repeat(first_entry[frontier] - offsets, lens) + np.arange(lens.sum())
+        cand = targets[pos]
+        fresh = ~seen[cand]
+        pos, cand = pos[fresh], cand[fresh]
+        if not len(cand):
+            return levels, via
+        k = np.arange(len(cand))
+        np.minimum.at(earliest, cand, k)
+        first = earliest[cand] == k
+        earliest[cand] = unset
+        frontier = cand[first]
+        seen[frontier] = True
+        via[frontier] = by_row[pos[first]]
+        levels.append(frontier)
 
 
 def symmetrize(network: DirectedNetwork, epsilon: float) -> SymmetrizedNetwork:
@@ -276,7 +341,7 @@ class FlowAssignment:
 
     def residuals(self) -> np.ndarray:
         """Net outflow per vertex (positive = more flow leaving than entering)."""
-        return self.network.incidence @ self.values
+        return incidence_product(self.network, self.values)
 
     def interior_residual_max(self) -> float:
         resid = np.abs(self.residuals()[_interior_mask(self.network)])

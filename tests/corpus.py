@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import random
 
-from emaxflow import DirectedNetwork
+import numpy as np
+
+from emaxflow import DirectedNetwork, SymmetrizedNetwork
 
 
 def random_network(
@@ -75,3 +77,16 @@ def grid_network(seed: int, rows: int, cols: int, cap_max: int = 100) -> Directe
 def reduction_corpus(count: int = 200):
     """The n<=12, m<=30, caps<=5 corpus used by several acceptance checks."""
     return [random_network(seed) for seed in range(count)]
+
+
+def multigraph(seed: int) -> SymmetrizedNetwork:
+    """A `SymmetrizedNetwork` built directly on random endpoints, so that it
+    has parallel edges and self-loops, and its sink may be unreachable."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 10))
+    m = int(rng.integers(0, 30))
+    tails, heads = rng.integers(0, n, m), rng.integers(0, n, m)
+    return SymmetrizedNetwork(
+        n, 0, n - 1, 0.25, tails, heads, np.ones(m), np.zeros(m, dtype=np.int8),
+        np.arange(m), np.ones(m),
+    )

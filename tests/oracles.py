@@ -3,7 +3,9 @@
 Everything here deliberately avoids the library's solution paths: min cuts
 by subset enumeration, max flows by bounded integral enumeration, minimum
 energies by dense least squares on the Laplacian pseudoinverse, whole-network
-Laplacians as ``B diag(1/r) B^T``.  The other ``*_reference`` functions keep
+Laplacians as ``B diag(1/r) B^T``, with ``B`` SciPy's sparse incidence
+(`incidence_reference`), which the library's NumPy incidence product must
+match bit for bit.  The other ``*_reference`` functions keep
 the library's first, plain versions of cycle cancelling, the repair tree's
 BFS, tree repair, dense and sparse Laplacian assembly and the
 conjugate-gradient loop; the library's faster versions must return the
@@ -18,6 +20,7 @@ import itertools
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order
 
 from emaxflow import (
     ConvergenceError,
@@ -26,7 +29,7 @@ from emaxflow import (
     RepairError,
     SymmetrizedNetwork,
 )
-from emaxflow.network import Network, Provenance
+from emaxflow.network import ArcDropReason, DroppedArc, Network, Provenance
 
 
 def directed_min_cut(network: DirectedNetwork) -> float:
@@ -167,12 +170,61 @@ def brute_force_max_flow(network: DirectedNetwork) -> float:
     return float(best)
 
 
+def directed_arcs_reference(vertex_count: int, arcs) -> tuple[list, list, list, list]:
+    """`DirectedNetwork`'s arc checks as first written, one arc at a time:
+    the kept tails, heads and capacities and the `DroppedArc` records, or
+    the `ValueError` naming the first bad arc."""
+    tails, heads, caps, dropped = [], [], [], []
+    for i, (u, v, c) in enumerate(arcs):
+        u, v, c = int(u), int(v), float(c)
+        if not (0 <= u < vertex_count) or not (0 <= v < vertex_count):
+            raise ValueError(f"arc {i}: vertex out of range")
+        if not np.isfinite(c) or c < 0:
+            raise ValueError(f"arc {i}: capacity must be finite and >= 0")
+        if u == v:
+            dropped.append(DroppedArc(i, u, v, c, ArcDropReason.SELF_LOOP))
+            continue
+        if c == 0.0:
+            dropped.append(DroppedArc(i, u, v, c, ArcDropReason.ZERO_CAPACITY))
+            continue
+        tails.append(u)
+        heads.append(v)
+        caps.append(c)
+    return tails, heads, caps, dropped
+
+
+def bfs_reference(n: int, rows: np.ndarray, nbrs: np.ndarray, start: int):
+    """SciPy's `breadth_first_order` on the graph whose row ``v`` lists the
+    entries ``rows[j] == v`` in index order: (order, predecessors), -9999
+    where a vertex has no predecessor."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in zip(rows.tolist(), nbrs.tolist()):
+        adj[a].append(b)
+    indptr = np.concatenate([[0], np.cumsum([len(a) for a in adj])])
+    indices = np.array([b for a in adj for b in a], dtype=np.int64)
+    graph = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+    return breadth_first_order(graph, start, return_predecessors=True)
+
+
+def incidence_reference(net: Network) -> sp.csr_matrix:
+    """Signed vertex-edge incidence as a SciPy CSR matrix, built as the
+    library first built it: +1 at the tail, -1 at the head, and a
+    self-loop's two entries summed to an explicit 0."""
+    e = net.edge_count
+    if e == 0:
+        return sp.csr_matrix((net.vertex_count, 0))
+    rows = np.concatenate([net.tails, net.heads])
+    cols = np.concatenate([np.arange(e), np.arange(e)])
+    data = np.concatenate([np.ones(e), -np.ones(e)])
+    return sp.coo_matrix((data, (rows, cols)), shape=(net.vertex_count, e)).tocsr()
+
+
 def laplacian_reference(net: SymmetrizedNetwork, resistances: np.ndarray):
     """Weighted Laplacian B diag(1/r) B^T of the whole network, as a sparse
     matrix: conductance 1/r per edge, parallel edges accumulate, self-loops
     contribute nothing, rows sum to zero."""
     r = np.asarray(resistances, dtype=np.float64)
-    b = net.incidence
+    b = incidence_reference(net)
     return (b.multiply(1.0 / r) @ b.T).tocsr()
 
 
@@ -182,7 +234,7 @@ def min_energy_flow_dense(
     """Minimum-energy conserving s-t flow of the given value, by dense
     least squares: phi = pinv(L) b, f = diag(1/r) B^T phi."""
     r = np.asarray(resistances, dtype=np.float64)
-    B = net.incidence.toarray()
+    B = incidence_reference(net).toarray()
     L = (B * (1.0 / r)) @ B.T
     b = np.zeros(net.vertex_count)
     b[net.source] = value
@@ -228,7 +280,7 @@ def random_conserving_flow(
     the projection of a random edge vector z onto the kernel of B."""
     r = rng.uniform(0.2, 5.0, net.edge_count)
     _, f = min_energy_flow_dense(net, r, value)
-    B = net.incidence.toarray()
+    B = incidence_reference(net).toarray()
     z = rng.uniform(-1.0, 1.0, net.edge_count) * max(1.0, value)
     circulation = z - B.T @ (np.linalg.pinv(B @ B.T) @ (B @ z))
     return FlowAssignment(net, f + circulation)
@@ -375,7 +427,7 @@ def repair_values_reference(
     """`electrical._repair_values` as first written, pushing along the tree
     one NumPy scalar at a time along `spanning_tree_reference`.  The
     library must match it bit for bit."""
-    resid = net.incidence @ vals
+    resid = incidence_reference(net) @ vals
     target = np.zeros(net.vertex_count)
     target[net.source] = value
     target[net.sink] = -value
@@ -439,13 +491,14 @@ def dense_laplacian_reference(ctx, r: np.ndarray) -> np.ndarray:
 
 def sparse_laplacian_reference(ctx, r: np.ndarray) -> sp.csr_matrix:
     """The sparse s-t Laplacian of an `electrical._StSolveContext`, summed
-    into its CSR slots and built as a new `csr_matrix`, as first written.
-    The library must match it bit for bit."""
+    into its slots and built as a new `csr_matrix` on the context's
+    pattern.  The library's matrix must give its entries, diagonal and
+    products bit for bit."""
     g = 1.0 / r[ctx.keep]
     data = np.concatenate([g, g, -g, -g])
-    indices, indptr = ctx._csr.indices, ctx._csr.indptr
-    summed = np.bincount(ctx._slot, data, len(indices))
-    return sp.csr_matrix((summed, indices.copy(), indptr.copy()), shape=(ctx.n_c, ctx.n_c))
+    A = ctx._sparse
+    summed = np.bincount(ctx._slot, data, len(A.rows))
+    return sp.csr_matrix((summed, (A.rows, A.cols)), shape=(ctx.n_c, ctx.n_c))
 
 
 def pcg_reference(A, b: np.ndarray, x: np.ndarray, atol: float):

@@ -260,3 +260,39 @@ class TestVerify:
             ]
         )
         assert code == 4
+
+
+GUARD = """
+import sys
+import emaxflow
+from emaxflow.cli import main
+
+net = emaxflow.parse_dimacs(sys.argv[2])
+result, report = emaxflow.approx_max_flow(net, 0.25, exact_check=True)
+assert result.value > 0 and report.exact_value == 2.0
+instance = sys.argv[1]
+codes = [
+    main(["gen", "--n", "12", "--m", "40", "--seed", "3", "--output", instance]),
+    main(["solve", "--input", instance, "--epsilon", "0.25", "--exact-check"]),
+    main(["verify", "--input", instance, "--epsilon", "0.25"]),
+]
+print(codes, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+
+
+def test_program_runs_without_scipy(tmp_path):
+    # In a fresh process, so that no test's own SciPy import counts.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import emaxflow
+
+    env = dict(os.environ, PYTHONPATH=str(Path(emaxflow.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", GUARD, str(tmp_path / "gen.max"), GAP],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0] []"

@@ -25,9 +25,10 @@ from emaxflow.electrical import (
     default_solve_tolerance,
 )
 
-from corpus import nonempty_network, random_network, reduction_corpus
+from corpus import multigraph, nonempty_network, random_network, reduction_corpus
 from oracles import (
     dense_laplacian_reference,
+    incidence_reference,
     laplacian_reference,
     min_energy_flow_dense,
     pcg_reference,
@@ -153,18 +154,19 @@ class TestSparsePath:
         return net, rng.uniform(0.05, 10.0, net.edge_count)
 
     def test_laplacian_within_summation_order_bound(self):
-        # The CSR slots and the reference sum each entry's terms in
-        # different orders.  An entry sums k terms of one sign, so either
-        # order is within (k - 1) roundoff units of the exact sum, and k is
-        # at most the largest vertex degree.
+        # The slots and the reference sum each entry's terms in different
+        # orders.  An entry sums k terms of one sign, so either order is
+        # within (k - 1) roundoff units of the exact sum, and k is at most
+        # the largest vertex degree.
         net, r = self.network_and_resistances()
         ctx = _st_context(net)
         L = ctx.laplacian(r)
         ref = laplacian_reference(net, r)[ctx.idx][:, ctx.idx].tocsr()
         ref.sort_indices()
-        assert L.has_sorted_indices
-        assert np.array_equal(L.indptr, ref.indptr)
-        assert np.array_equal(L.indices, ref.indices)
+        ref = ref.tocoo()
+        # The pattern is the reference's, in row-major order.
+        assert np.array_equal(L.rows, ref.row)
+        assert np.array_equal(L.cols, ref.col)
         loops = net.tails == net.heads
         degree = np.bincount(
             np.concatenate([net.tails[~loops], net.heads[~loops]]), minlength=net.vertex_count
@@ -173,18 +175,20 @@ class TestSparsePath:
         assert (np.abs(L.data - ref.data) <= rtol * np.abs(ref.data)).all()
 
     def test_laplacian_is_the_fresh_csr_matrix(self):
-        # One matrix object is given each call's entries; they must be the
-        # bits a newly built csr_matrix holds, whatever the call before.
+        # One matrix object is given each call's entries; they, its
+        # diagonal and its products must be the bits a newly built
+        # csr_matrix on the same slots gives, whatever the call before.
         net, r = self.network_and_resistances()
         ctx = _st_context(net)
+        rng = np.random.default_rng(5)
         r2 = r[::-1].copy()
         for rr in (r, r2, r):
             L = ctx.laplacian(rr)
             ref = sparse_laplacian_reference(ctx, rr)
-            assert np.array_equal(L.indptr, ref.indptr)
-            assert np.array_equal(L.indices, ref.indices)
             assert np.array_equal(L.data, ref.data)
             assert np.array_equal(L.diagonal(), ref.diagonal())
+            for x in (rng.normal(size=ctx.n_c), rng.uniform(-1e6, 1e-6, ctx.n_c)):
+                assert np.array_equal(L @ x, ref @ x)
 
     def test_reused_matrix_does_not_alias_results(self):
         net, r1 = self.network_and_resistances()
@@ -434,19 +438,6 @@ def matching_bench_network() -> SymmetrizedNetwork:
     return symmetrize(parse_dimacs(inst.dimacs), inst.epsilon / 4)
 
 
-def multigraph(seed: int) -> SymmetrizedNetwork:
-    """A `SymmetrizedNetwork` built directly on random endpoints, so that it
-    has parallel edges and self-loops, and its sink may be unreachable."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 10))
-    m = int(rng.integers(0, 30))
-    tails, heads = rng.integers(0, n, m), rng.integers(0, n, m)
-    return SymmetrizedNetwork(
-        n, 0, n - 1, 0.25, tails, heads, np.ones(m), np.zeros(m, dtype=np.int8),
-        np.arange(m), np.ones(m),
-    )
-
-
 def assert_tree_is_reference(net: SymmetrizedNetwork):
     """The solve context's component and repair-tree levels are those of
     `spanning_tree_reference`: the same vertices, parents and parent edges."""
@@ -579,7 +570,7 @@ class TestEndToEndSolve:
         rng = np.random.default_rng(11)
         r = rng.uniform(0.1, 3.0, net.edge_count)
         res = electrical_st_flow(net, r, 1.0, 1e-12)
-        B = net.incidence.toarray()
+        B = incidence_reference(net).toarray()
         for _ in range(10):
             z = rng.normal(0, 1, net.edge_count)
             # project onto the cycle space (kernel of the incidence matrix)

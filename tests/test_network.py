@@ -13,9 +13,17 @@ from emaxflow import (
     parse_dimacs,
     symmetrize,
 )
-from emaxflow.network import ArcDropReason, Provenance, flow_value, write_dimacs
+from emaxflow.network import (
+    ArcDropReason,
+    Provenance,
+    bfs_levels,
+    flow_value,
+    incidence_product,
+    write_dimacs,
+)
 
-from corpus import random_network
+from corpus import multigraph, random_network
+from oracles import bfs_reference, directed_arcs_reference, incidence_reference
 
 SMALLEST = "p max 2 1\nn 1 s\nn 2 t\na 1 2 5\n"
 
@@ -219,3 +227,125 @@ def test_congestion_uses_parent_capacity():
     parent = np.array([2.0, 2.0, 2.0, 4.0, 4.0, 4.0])
     assert (result.flow.values != 0).all()
     assert cong == pytest.approx(np.abs(result.flow.values) / parent, rel=1e-12)
+
+
+def _arc_cases():
+    """Random arc lists with self-loops, zero capacities, and parallel and
+    antiparallel arcs, on 2-9 vertices."""
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 10))
+        m = int(rng.integers(0, 40))
+        caps = rng.choice([0.0, -0.0, 0.5, 1.0, 3.25, 1e300], m)
+        yield n, list(zip(rng.integers(0, n, m).tolist(), rng.integers(0, n, m).tolist(), caps))
+
+
+class TestDirectedNetworkArcs:
+    """The constructor's one NumPy pass over the arcs keeps, drops and
+    rejects what the first, per-arc loop did."""
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_matches_per_arc_loop(self, as_array):
+        for n, arcs in _arc_cases():
+            tails, heads, caps, dropped = directed_arcs_reference(n, arcs)
+            given = np.array(arcs, dtype=np.float64).reshape(-1, 3) if as_array else iter(arcs)
+            net = DirectedNetwork(n, given, 0, n - 1)
+            assert net.tails.tolist() == tails and net.tails.dtype == np.int64
+            assert net.heads.tolist() == heads
+            assert net.capacities.tobytes() == np.array(caps, dtype=np.float64).tobytes()
+            assert net.dropped == tuple(dropped)
+
+    @pytest.mark.parametrize(
+        "arcs",
+        [
+            [(0, 1, 1.0), (0, 5, 1.0), (1, 2, -1.0)],
+            [(0, 1, 1.0), (1, 2, -1.0), (0, 5, 1.0)],
+            [(0, 1, 1.0), (-1, 2, np.nan)],
+            [(0, 1, 1.0), (1, 2, np.inf)],
+            [(0, 1, 1.0), (1, 1, np.nan), (0, 0, 0.0)],
+            [(2.9, 1, 1.0), (0, 3, 2.0)],
+        ],
+    )
+    def test_first_bad_arc_named(self, arcs):
+        with pytest.raises(ValueError) as want:
+            directed_arcs_reference(3, arcs)
+        with pytest.raises(ValueError) as got:
+            DirectedNetwork(3, arcs, 0, 2)
+        assert str(got.value) == str(want.value)
+
+    def test_rejects_other_than_triples(self):
+        for arcs in ([(0, 1)], [(0, 1, 1.0, 2.0)], [0, 1, 1.0]):
+            with pytest.raises(ValueError):
+                DirectedNetwork(3, arcs, 0, 2)
+
+
+class TestBfsLevels:
+    """`bfs_levels` visits and reaches each vertex as SciPy's
+    `breadth_first_order` does."""
+
+    @staticmethod
+    def check(n, rows, nbrs, start):
+        levels, via = bfs_levels(n, rows, nbrs, start)
+        order, pred = bfs_reference(n, rows, nbrs, start)
+        assert np.array_equal(np.concatenate(levels), order)
+        reached = via >= 0
+        assert np.array_equal(np.flatnonzero(reached), np.sort(order[1:]))
+        assert np.array_equal(rows[via[reached]], pred[reached])
+        assert (pred[~reached] == -9999).all()
+        # Each vertex is reached by the first entry from its predecessor.
+        for v in order[1:]:
+            assert via[v] == np.flatnonzero((rows == pred[v]) & (nbrs == v))[0]
+        return levels
+
+    @pytest.mark.parametrize("seed", range(80))
+    def test_random_multigraphs(self, seed):
+        net = multigraph(seed)
+        ends = np.stack([net.tails, net.heads], axis=1).ravel()
+        other = np.stack([net.heads, net.tails], axis=1).ravel()
+        for start in (net.source, net.sink):
+            self.check(net.vertex_count, ends, other, start)
+            self.check(net.vertex_count, net.tails, net.heads, start)
+
+    def test_long_path(self):
+        n = 20_000
+        rng = np.random.default_rng(0)
+        label = rng.permutation(n)
+        rows, nbrs = label[:-1], label[1:]
+        keep = rng.permutation(n - 1)
+        levels = self.check(n, rows[keep], nbrs[keep], int(label[0]))
+        assert len(levels) == n
+
+
+def _bits(x: np.ndarray) -> bytes:
+    return np.ascontiguousarray(x, dtype=np.float64).tobytes()
+
+
+class TestIncidenceProduct:
+    """`incidence_product` gives the bits of SciPy's CSR incidence product."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_multigraphs_with_self_loops(self, seed):
+        net = multigraph(seed)
+        rng = np.random.default_rng(seed)
+        B = incidence_reference(net)
+        for values in (
+            rng.normal(size=net.edge_count),
+            rng.choice([0.0, -0.0, 1e-300, -1e300, 0.1, 3.0], net.edge_count),
+        ):
+            assert _bits(incidence_product(net, values)) == _bits(B @ values)
+
+    def test_directed_and_symmetrized(self):
+        for seed in range(20):
+            G = random_network(seed)
+            rng = np.random.default_rng(seed)
+            for net in (G, symmetrize(G, 0.3)):
+                values = rng.uniform(-5, 5, net.edge_count)
+                assert _bits(incidence_product(net, values)) == _bits(
+                    incidence_reference(net) @ values
+                )
+
+    def test_no_edges(self):
+        net = DirectedNetwork(4, [], 0, 3)
+        got = incidence_product(net, np.zeros(0))
+        assert _bits(got) == _bits(incidence_reference(net) @ np.zeros(0))
+        assert got.shape == (4,)
