@@ -211,9 +211,12 @@ class _StSolveContext:
         self.kt = pos[net.tails[keep]]
         self.kh = pos[net.heads[keep]]
         self.dense = self.n_c <= _DENSE_LIMIT
-        rows = np.concatenate([self.kt, self.kh, self.kt, self.kh])
-        cols = np.concatenate([self.kt, self.kh, self.kh, self.kt])
-        flat = rows * self.n_c + cols
+        # Term k of each block sums into (row, col) at flat index
+        # row * n_c + col: the blocks are (kt, kt), (kh, kh), (kt, kh) and
+        # (kh, kt).
+        tn, hn = self.kt * self.n_c, self.kh * self.n_c
+        flat = np.concatenate([tn + self.kt, hn + self.kh, tn + self.kh, hn + self.kt])
+        del tn, hn
         if self.dense:
             self._flat = flat
         else:
@@ -222,10 +225,14 @@ class _StSolveContext:
             # term's slot is the rank of its index among them.
             by_key = np.argsort(flat, kind="stable")
             keys = flat[by_key]
+            del flat
             distinct = np.ones(len(keys), dtype=bool)
-            distinct[1:] = keys[1:] != keys[:-1]
+            np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+            rank = np.cumsum(distinct)
+            rank -= 1
             self._slot = np.empty(len(keys), dtype=np.int64)
-            self._slot[by_key] = np.cumsum(distinct) - 1
+            self._slot[by_key] = rank
+            del by_key, rank
             self._sparse = _SparseLaplacian(keys[distinct], self.n_c)
 
     def laplacian(self, r: np.ndarray):

@@ -11,8 +11,10 @@ value, both verified explicitly before returning; ``eps`` is the network's
 own.  A run starts from unit weights unless it is given other positive
 weights to start from, such as the final weights of an earlier run on the
 same network; an energy failure certifies infeasibility whatever the
-weights, so neither the start nor the update rate changes what a run
-concludes, only what it costs.
+weights, so neither the start nor the update rule changes what a run
+concludes, only what it costs.  The update multiplies each weight by the
+square of ``1 + congestion / step``, two rate-1 steps per call, which
+about halves the calls that a single step takes; higher powers overshoot.
 """
 
 from __future__ import annotations
@@ -80,17 +82,19 @@ WEIGHT_FLOOR = 1e-200
 def update_weights(
     weights: np.ndarray, congestion: np.ndarray, epsilon: float, width: float
 ) -> np.ndarray:
-    """Multiplicative update w <- w * (1 + congestion / step), with
+    """Multiplicative update w <- w * (1 + congestion / step)^2, with
     step = max(1 + eps, observed max congestion), floored at
     `WEIGHT_FLOOR` times the largest new weight.
 
-    The rate is 1, not the eps that the analysis of the averaged flow
-    needs: every candidate is verified explicitly, and an energy failure
-    certifies infeasibility for any positive weights, so the rate changes
-    only the number of oracle calls.  The floor keeps every weight a valid
-    warm start; it lies far below the regularizer of `compute_resistances`,
-    so it moves no resistance.  Congestion above the width raises
-    `WidthViolationError`.
+    That is two rate-1 updates per call, not the rate eps that the
+    analysis of the averaged flow needs: every candidate is verified
+    explicitly, and an energy failure certifies infeasibility for any
+    positive weights, so the rule changes only the number of oracle calls.
+    The square about halves them against rate 1; higher powers overshoot,
+    so some runs make more calls again and some never converge.  The floor
+    keeps every weight a valid warm start; it lies far below the
+    regularizer of `compute_resistances`, so it moves no resistance.
+    Congestion above the width raises `WidthViolationError`.
     """
     worst = float(congestion.max()) if len(congestion) else 0.0
     if worst > width * (1.0 + 1e-9):
@@ -98,7 +102,8 @@ def update_weights(
             f"congestion {worst:.6g} exceeds the oracle width {width:.6g}"
         )
     step = max(1.0 + epsilon, worst)
-    updated = weights * (1.0 + congestion / step)
+    factor = 1.0 + congestion / step
+    updated = weights * (factor * factor)
     return np.maximum(updated, WEIGHT_FLOOR * updated.max(initial=0.0))
 
 

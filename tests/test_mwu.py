@@ -162,25 +162,27 @@ class TestUpdateWeights:
         assert w2 == pytest.approx(w)
 
     def test_full_width_congestion(self):
-        # congestion at the width sets the step, so the weight doubles
+        # congestion at the width sets the step, so the factor is 2 and the
+        # weight grows by its square
         width = math.sqrt(27 * 4 / 0.3)
         w = np.array([1.0])
         w2 = update_weights(w, np.array([width]), 0.3, width)
-        assert w2[0] == pytest.approx(2.0, rel=1e-12)
+        assert w2[0] == pytest.approx(4.0, rel=1e-12)
 
     def test_worked_example(self):
         # eps=0.5, congestion 7/6 on unit weights: the step normalizer is
-        # max(1 + eps, 7/6) = 1.5, well below the width sqrt(54)
+        # max(1 + eps, 7/6) = 1.5, well below the width sqrt(54), and the
+        # weight grows by the square of the factor
         w = np.ones(3)
         w2 = update_weights(w, np.full(3, 7 / 6), 0.5, math.sqrt(54))
-        expected = 1 + (7 / 6) / 1.5
+        expected = (1 + (7 / 6) / 1.5) ** 2
         assert w2 == pytest.approx([expected] * 3, rel=1e-12)
-        assert expected == pytest.approx(1.7777778, abs=1e-6)
+        assert expected == pytest.approx(3.1604938, abs=1e-6)
 
     def test_weights_stay_a_valid_start(self):
-        # Rate 1 doubles the spread between a fully and a never congested
-        # edge per call; without the floor 1,200 update-and-renormalize
-        # steps round the idle edge to exactly 0.0.
+        # The update quadruples the spread between a fully and a never
+        # congested edge per call; without the floor 600 update-and-
+        # renormalize steps round the idle edge to exactly 0.0.
         net = single_arc_net()
         width = oracle_width(net)
         cong = np.zeros(net.edge_count)
@@ -259,8 +261,9 @@ class TestSolveBoundedFlow:
     def test_slow_progress_still_verifies(self):
         # F = 2.788 is feasible.  Under the eps-damped update rate the best
         # candidate's overrun stopped improving for hundreds of calls before
-        # the run verified (about 1,100 calls; 54 at rate 1); a run cut
-        # short there would wrongly report no flow.
+        # the run verified (about 1,100 calls; 54 at rate 1, 28 with the
+        # squared factor); a run cut short there would wrongly report no
+        # flow.
         G = random_sized_network(1016, 21, 49)
         eps = 0.025
         net = symmetrize(G, eps)
@@ -277,19 +280,19 @@ class TestSolveBoundedFlow:
         net = symmetrize(G, eps)
         target = 2 * 2.788 + (1 + eps) * G.total_capacity()
         resumed, whole = [], []
-        # The run verifies after 54 calls, so two budgets of 20 run out.
+        # The run verifies after 28 calls, so two budgets of 10 run out.
         run = bounded_flow_attempts(
-            net, target, max_iterations=10, trace=lambda i, d: resumed.append(d.energy)
+            net, target, max_iterations=5, trace=lambda i, d: resumed.append(d.energy)
         )
         first = next(run)
-        assert first.failure == "iteration-budget" and first.iterations == 20
+        assert first.failure == "iteration-budget" and first.iterations == 10
         assert not first.certified_infeasible
         second = next(run)
-        assert second.failure == "iteration-budget" and second.iterations == 40
+        assert second.failure == "iteration-budget" and second.iterations == 20
         once = solve_bounded_flow(
-            net, target, max_iterations=20, trace=lambda i, d: whole.append(d.energy)
+            net, target, max_iterations=10, trace=lambda i, d: whole.append(d.energy)
         )
-        assert once.iterations == 40
+        assert once.iterations == 20
         assert resumed == whole
 
     def test_trace_emitted_per_oracle_call(self):
@@ -334,6 +337,18 @@ class TestStartWeights:
             assert float(result.weights.max()) == pytest.approx(1.0, rel=1e-12)
         # The first call is priced by the start, and totals are the start's.
         assert calls[0].weight_total == pytest.approx(start.sum(), rel=1e-12)
+
+    def test_spread_start_recovers_within_400_calls(self):
+        # Weights regrow at most 4x per call, so a start spanning 200
+        # decades costs hundreds of calls (359 here, 717 at rate 1) where
+        # unit weights verify the same target at once.
+        net = single_arc_net()
+        start = np.array([1.0, 1e-200, 1e-200])
+        results = list(bounded_flow_attempts(net, 3.4, weights=start))
+        assert results[-1].succeeded
+        assert check_bounded_flow(net, results[-1].flow.values, 3.4)
+        assert results[-1].iterations <= 400
+        assert next(bounded_flow_attempts(net, 3.4)).iterations == 1
 
     def test_unit_start_is_the_default(self):
         net = symmetrize(random_sized_network(1016, 21, 49), 0.025)
