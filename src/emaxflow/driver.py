@@ -205,15 +205,20 @@ class SolveReport:
 
 
 def _trace_line(probe: int, iteration: int, diag: OracleDiagnostics) -> dict:
-    """One ``--trace`` line: an oracle call's diagnostics, 12 digits."""
+    """One ``--trace`` line: an oracle call's diagnostics, 12 digits, each
+    clamped to +-1e308 so that the line is strict JSON."""
+    def num(x: float) -> float:
+        return _round12(max(-1e308, min(x, 1e308)))
+
     return {
         "probe": probe,
         "iter": iteration,
-        "energy": _round12(min(diag.energy, 1e308)),
-        "threshold": _round12(min(diag.threshold, 1e308)),
-        "max_cong": _round12(diag.max_congestion),
-        "weighted_cong": _round12(min(diag.weighted_congestion, 1e308)),
-        "weight_total": _round12(min(diag.weight_total, 1e308)),
+        "energy": num(diag.energy),
+        "threshold": num(diag.threshold),
+        "max_cong": num(diag.max_congestion),
+        "weighted_cong": num(diag.weighted_congestion),
+        "weight_total": num(diag.weight_total),
+        "energy_lower": num(diag.energy_lower),
     }
 
 

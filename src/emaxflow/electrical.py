@@ -8,6 +8,11 @@ fixed spanning tree so the returned flow conserves exactly and has exactly
 the requested value.  That tree belongs to this solve alone: it is built
 here, by `network.bfs_levels` from the source, and the network holds none.
 
+Every solve also reports the dual bound ``D(phi)`` of its potentials, a
+lower bound on the least energy whatever the residual
+(`ElectricalSolveResult`), so a caller can prove an energy too large
+without solving accurately.
+
 Everything that depends only on the network is built once per network and
 reused by every call: the component, the Laplacian's assembly slots, one
 `_SparseLaplacian` whose entries each sparse call replaces, and the
@@ -139,13 +144,23 @@ def _repair_values(net: SymmetrizedNetwork, vals: np.ndarray, value: float) -> n
 
 @dataclass(frozen=True)
 class ElectricalSolveResult:
-    """An approximate electrical s-t flow plus solve diagnostics."""
+    """An approximate electrical s-t flow plus solve diagnostics.
+
+    ``energy_lower`` is the dual bound ``D(phi) = 2 F (phi_s - phi_t) -
+    sum_e (phi_u - phi_v)^2 / r_e`` at the returned potentials.  By weak
+    duality it is at most the least energy of any s-t flow of value ``F``,
+    at any solve accuracy, and ``energy`` is at least that least energy.
+    ``repair_share`` is the largest move the conservation repair made on
+    one edge, as a share of that edge's capacity: at most 0.1, or the
+    solve raises `RepairError`."""
 
     flow: FlowAssignment
     potentials: np.ndarray
     energy: float
     iterations: int
     residual_norm: float
+    energy_lower: float
+    repair_share: float
 
 
 # Component sizes up to this use a dense Laplacian; beyond it a fixed
@@ -196,6 +211,10 @@ class _StSolveContext:
         in_tree[order] = True
         self.outside = np.flatnonzero(~in_tree)
         self.repair_limit = 0.1 * net.capacities
+        # A zero-capacity edge cannot move without raising `RepairError`.
+        self.inverse_capacity = np.divide(
+            1.0, net.capacities, out=np.zeros(net.edge_count), where=net.capacities > 0
+        )
         idx = np.flatnonzero(in_tree)
         pos = np.full(net.vertex_count, -1, dtype=np.int64)
         pos[idx] = np.arange(len(idx))
@@ -305,7 +324,7 @@ def electrical_st_flow(
         raise ValueError(f"need {net.vertex_count} start potentials, got shape {np.shape(x0)}")
     if value == 0.0:
         zero = FlowAssignment.zeros(net)
-        return ElectricalSolveResult(zero, np.zeros(net.vertex_count), 0.0, 0, 0.0)
+        return ElectricalSolveResult(zero, np.zeros(net.vertex_count), 0.0, 0, 0.0, 0.0, 0.0)
     ctx = _st_context(net)
     if not ctx.connected:
         raise DisconnectedNetworkError(
@@ -321,8 +340,9 @@ def electrical_st_flow(
     phi = np.zeros(net.vertex_count)
     phi[ctx.idx] = xc
     phi -= phi[net.sink]
-    vals = (phi[net.tails] - phi[net.heads]) / r
-    vals = _repair_values(net, vals, value)
+    drop = phi[net.tails] - phi[net.heads]
+    induced = drop / r
+    vals = _repair_values(net, induced, value)
     flow = FlowAssignment(net, vals)
     return ElectricalSolveResult(
         flow=flow,
@@ -330,9 +350,12 @@ def electrical_st_flow(
         energy=float(np.sum(r * vals * vals)),
         iterations=iters,
         residual_norm=resnorm,
+        energy_lower=float(2.0 * value * phi[net.source] - drop @ induced),
+        repair_share=float(np.max(np.abs(vals - induced) * ctx.inverse_capacity)),
     )
 
 
 def default_solve_tolerance(epsilon: float, edge_count: int) -> float:
-    """Relative residual tolerance for the electrical solve inside the oracle."""
+    """The strict relative residual tolerance: a solve to it has energy
+    within ``1 + eps/10`` of the minimum (acceptance criterion 2)."""
     return min(1e-8, epsilon / (100.0 * max(1, edge_count)))

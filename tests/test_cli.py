@@ -8,8 +8,14 @@ from emaxflow import DirectedNetwork, cli, parse_dimacs
 from emaxflow.cli import main
 from emaxflow.network import write_dimacs
 
+from corpus import random_network
+
 SINGLE_ARC = "p max 2 1\nn 1 s\nn 2 t\na 1 2 1\n"
 GAP = "p max 4 5\nn 1 s\nn 4 t\na 1 2 1\na 1 3 1\na 2 4 1\na 3 4 1\na 3 2 5\n"
+
+
+def _reject(name):
+    raise ValueError(f"non-finite JSON constant {name}")
 
 
 @pytest.fixture
@@ -82,7 +88,26 @@ class TestSolve:
                 "max_cong",
                 "weighted_cong",
                 "weight_total",
+                "energy_lower",
             }
+
+    def test_trace_is_strict_json(self, tmp_path, capsys):
+        # An instance whose search has energy failures: every line parses
+        # without NaN or Infinity, and each failure carries its certificate,
+        # a dual bound over the unpadded threshold (eps' = 0.25 / 4).
+        instance = tmp_path / "energy.max"
+        instance.write_text(write_dimacs(random_network(6)))
+        trace_path = tmp_path / "trace.jsonl"
+        code = main(
+            ["solve", "--input", str(instance), "--epsilon", "0.25", "--trace", str(trace_path)]
+        )
+        assert code == 0
+        capsys.readouterr()
+        lines = [json.loads(l, parse_constant=_reject) for l in trace_path.read_text().splitlines()]
+        failures = [rec for rec in lines if rec["energy"] > rec["threshold"]]
+        assert failures
+        for rec in failures:
+            assert rec["energy_lower"] > rec["threshold"] / (1 + 0.0625 / 10)
 
 
 class TestGen:

@@ -17,6 +17,7 @@ from emaxflow import (
     parse_dimacs,
     symmetrize,
 )
+from emaxflow import electrical, mwu
 from emaxflow.electrical import (
     _DENSE_LIMIT,
     _pcg,
@@ -25,7 +26,13 @@ from emaxflow.electrical import (
     default_solve_tolerance,
 )
 
-from corpus import multigraph, nonempty_network, random_network, reduction_corpus
+from corpus import (
+    multigraph,
+    nonempty_network,
+    random_network,
+    random_sized_network,
+    reduction_corpus,
+)
 from oracles import (
     dense_laplacian_reference,
     incidence_reference,
@@ -584,3 +591,91 @@ class TestEndToEndSolve:
         b = electrical_st_flow(net, r, 1.0, 1e-9)
         assert (a.flow.values == b.flow.values).all()
         assert a.energy == b.energy
+
+
+class TestDualBound:
+    """``energy_lower``, the dual bound D(phi), lies below the least energy
+    and ``energy`` above it, however loosely CG stopped."""
+
+    def test_c2_graphs_at_the_working_tolerance(self):
+        # c2's 100 graphs, resistances and values, solved as the MWU loop
+        # first solves them.
+        rng = np.random.default_rng(2024)
+        checked = 0
+        seed = 0
+        while checked < 100:
+            G = random_network(seed, n_max=8)
+            seed += 1
+            if G.edge_count == 0:
+                continue
+            net = symmetrize(G, 0.25)
+            r = rng.uniform(0.05, 5.0, net.edge_count)
+            value = float(rng.uniform(0.1, 4.0))
+            res = electrical_st_flow(net, r, value, mwu.WORKING_TOLERANCE)
+            e_min, _ = min_energy_flow_dense(net, r, value)
+            assert res.energy_lower <= e_min * (1 + 1e-12)
+            assert e_min <= res.energy * (1 + 1e-12)
+            checked += 1
+
+    def test_far_from_converged(self):
+        # Two CG steps on 30 vertices: the repaired flow's energy is 14-109%
+        # above the minimum, the bound at most 2.5% below it.
+        rng = np.random.default_rng(3)
+        for seed in range(30):
+            net = symmetrize(random_sized_network(seed, 30, 90), 0.25)
+            r = rng.uniform(0.05, 5.0, net.edge_count)
+            value = float(rng.uniform(0.1, 4.0))
+            res = electrical_st_flow(net, r, value, 1e-1)
+            e_min, _ = min_energy_flow_dense(net, r, value)
+            assert res.energy_lower <= e_min <= res.energy
+            assert res.energy_lower >= 0.95 * e_min
+            assert res.energy >= 1.1 * e_min
+
+    def test_closed_form(self):
+        # phi = (2, 0) on one edge of resistance 2 carrying 1:
+        # D = 2 * 1 * 2 - 2^2 / 2 = 2, the energy.
+        net = single_edge_net()
+        res = electrical_st_flow(net, np.array([2.0, 1e14, 1e14]), 1.0, 1e-12)
+        assert res.energy_lower == pytest.approx(2.0, rel=1e-12)
+        assert electrical_st_flow(net, np.ones(3), 0.0, 1e-10).energy_lower == 0.0
+
+
+class TestRepairFallback:
+    """An oracle call whose loose solve the repair cannot absorb is solved
+    again at the strict tolerance instead of raising `RepairError`."""
+
+    def _case(self):
+        # At 1e-2 this solve's repair would move an edge by more than 10% of
+        # its capacity.
+        net = symmetrize(nonempty_network(4, n_min=4), 0.25)
+        weights = np.ones(net.edge_count)
+        target = 2.0 + 1.25 * float(net.arc_capacities.sum())
+        r = mwu.compute_resistances(net, weights, 0.25)
+        with pytest.raises(RepairError):
+            electrical_st_flow(net, r, target, 1e-2)
+        return net, weights, target
+
+    def test_oracle_call_falls_back(self, monkeypatch):
+        net, weights, target = self._case()
+        legs = []
+
+        def recording_pcg(A, b, x, atol):
+            out = _pcg(A, b, x, atol)
+            legs.append(out[1])
+            return out
+
+        monkeypatch.setattr(mwu, "WORKING_TOLERANCE", 1e-2)
+        monkeypatch.setattr(electrical, "_pcg", recording_pcg)
+        result, _, _ = mwu.oracle_step(net, weights, target)
+        assert result.flow.interior_residual_max() <= 1e-9 * target
+        assert result.flow.source_outflow() == pytest.approx(target, rel=1e-12)
+        assert len(legs) == 2
+        assert result.iterations == legs[1] > legs[0]
+
+    def test_strict_repair_error_still_raises(self, monkeypatch):
+        # Where the strict solve's repair fails too, the call raises.
+        net, weights, target = self._case()
+        monkeypatch.setattr(mwu, "WORKING_TOLERANCE", 1e-2)
+        monkeypatch.setattr(mwu, "default_solve_tolerance", lambda eps, m: 1e-2)
+        with pytest.raises(RepairError):
+            mwu.oracle_step(net, weights, target)

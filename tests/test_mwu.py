@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -8,13 +10,14 @@ from hypothesis import strategies as st
 
 from emaxflow import (
     DirectedNetwork,
+    approx_max_flow,
     WidthViolationError,
     exact_max_flow,
     solve_bounded_flow,
     symmetrize,
 )
 from emaxflow import mwu
-from emaxflow.driver import undirected_max_flow_witness
+from emaxflow.driver import _trace_line, undirected_max_flow_witness
 from emaxflow.mwu import (
     bounded_flow_attempts,
     check_bounded_flow,
@@ -119,6 +122,35 @@ class TestOracleStep:
         # energy scales as the squared value
         assert diag.energy == pytest.approx((100 / 3.5) ** 2 * 343 / 72, rel=1e-6)
 
+    def test_failure_needs_the_dual_bound_or_a_strict_solve(self, monkeypatch):
+        # A loose solve whose dual bound falls short of the unpadded
+        # threshold is solved again at the strict tolerance from its
+        # potentials, and that solve decides.
+        net = single_arc_net()
+        solve = mwu.electrical_st_flow
+        calls = []
+
+        def short_bound(net_, r, value, tol, x0=None):
+            res = solve(net_, r, value, tol, x0)
+            calls.append((tol, x0, res))
+            if tol == mwu.WORKING_TOLERANCE:
+                res = dataclasses.replace(res, energy_lower=-math.inf)
+            return res
+
+        monkeypatch.setattr(mwu, "electrical_st_flow", short_bound)
+        strict = mwu.default_solve_tolerance(net.epsilon, net.edge_count)
+        result, _, diag = oracle_step(net, np.ones(3), 100.0)
+        (tol1, _, first), (tol2, x0, second) = calls
+        assert (tol1, tol2) == (mwu.WORKING_TOLERANCE, strict)
+        assert x0 is first.potentials
+        assert result is second
+        assert diag.energy == second.energy > diag.threshold
+        assert diag.energy_lower == second.energy_lower
+        # A call under the threshold needs no second solve.
+        calls.clear()
+        oracle_step(net, np.ones(3), 3.5)
+        assert len(calls) == 1
+
     def test_zero_target(self):
         net = single_arc_net()
         result, _, diag = oracle_step(net, np.ones(3), 0.0)
@@ -220,6 +252,17 @@ class TestSolveBoundedFlow:
         assert not res.succeeded
         assert res.failure == "oracle-energy"
         assert res.certified_infeasible
+
+    def test_energy_failure_carries_the_dual_bound(self):
+        # The last call's dual bound exceeds the unpadded threshold, the
+        # most energy a flow within the capacities can have.
+        net = single_arc_net()
+        records = []
+        res = solve_bounded_flow(net, 1.5 + 1e6, trace=lambda i, d: records.append(d))
+        assert res.failure == "oracle-energy"
+        last = records[-1]
+        assert last.energy_lower > last.threshold / (1 + net.epsilon / 10)
+        assert last.energy_lower <= last.energy * (1 + 1e-12)
 
     def test_below_baseline_is_precondition_error(self):
         net = single_arc_net()
@@ -397,8 +440,8 @@ class TestTraceScale:
         target = 2 * 2.788 + (1 + 0.025) * net.arc_capacities.sum()
         measured = []
 
-        def spy(net_, weights, target_, x0=None):
-            result, cong, diag = oracle_step(net_, weights, target_, x0)
+        def spy(net_, weights, target_, x0=None, tol=None):
+            result, cong, diag = oracle_step(net_, weights, target_, x0, tol)
             measured.append((cong, diag))
             return result, cong, diag
 
@@ -424,6 +467,9 @@ class TestTraceScale:
             assert rec.threshold / rec.weight_total == pytest.approx(
                 raw.threshold / raw.weight_total, rel=1e-12
             )
+            assert rec.energy_lower / rec.weight_total == pytest.approx(
+                raw.energy_lower / raw.weight_total, rel=1e-12
+            )
             assert rec.max_congestion == raw.max_congestion
             true_w = update_weights(true_w, cong, net.epsilon, width)
         # The run renormalized, and its verdicts are the unscaled ones.
@@ -431,6 +477,99 @@ class TestTraceScale:
         assert all(raw.energy <= raw.threshold for _, raw in measured[:-1])
         failed = measured[-1][1].energy > measured[-1][1].threshold
         assert failed == (result.failure == "oracle-energy")
+
+
+    def test_scale_past_the_float_range(self):
+        # Start weights near the largest float: the run's true weights soon
+        # pass it, and the records read inf there rather than the trace
+        # raising OverflowError, and `_trace_line` clamps them.
+        net = symmetrize(random_sized_network(1016, 21, 49), 0.025)
+        target = 2 * 2.788 + (1 + 0.025) * net.arc_capacities.sum()
+        records = []
+        next(
+            bounded_flow_attempts(
+                net, target, max_iterations=10, weights=np.full(net.edge_count, 1e305),
+                trace=lambda i, d: records.append(d),
+            )
+        )
+        assert len(records) >= 3
+        assert math.isfinite(records[0].weight_total)
+        assert records[-1].weight_total == math.inf
+        line = _trace_line(1, len(records), records[-1])
+        assert line["weight_total"] == line["energy"] == line["threshold"] == 1e308
+        json.dumps(line, allow_nan=False)
+
+
+class TestWorkingTolerance:
+    """A working solve whose conservation repair is large is solved again
+    strictly, and its run tightens the tolerance its later calls stop at."""
+
+    def test_large_repair_is_solved_again_strictly(self, monkeypatch):
+        net = symmetrize(random_sized_network(1016, 21, 49), 0.25)
+        target = 2.0 + 1.25 * float(net.arc_capacities.sum())
+        solve = mwu.electrical_st_flow
+        calls = []
+
+        def recording(net_, r, value, tol, x0=None):
+            res = solve(net_, r, value, tol, x0)
+            calls.append((tol, x0, res))
+            return res
+
+        monkeypatch.setattr(mwu, "electrical_st_flow", recording)
+        weights = np.ones(net.edge_count)
+        result, _, diag = oracle_step(net, weights, target)
+        (tol1, _, first), = calls
+        assert tol1 == mwu.WORKING_TOLERANCE
+        assert result is first and diag.repair_share == first.repair_share > 0.0
+        # With no repair allowed, the working solve is solved again at the
+        # strict tolerance from its potentials, and the working share stays
+        # in the diagnostics.
+        calls.clear()
+        monkeypatch.setattr(mwu, "REPAIR_SHARE", 0.0)
+        result, _, diag = oracle_step(net, weights, target)
+        (_, _, first), (tol2, x0, second) = calls
+        assert tol2 == mwu.default_solve_tolerance(net.epsilon, net.edge_count)
+        assert x0 is first.potentials and result is second
+        assert diag.repair_share == first.repair_share
+
+    @pytest.mark.parametrize("share", [0.0, math.inf])
+    def test_run_tightens_its_tolerance(self, monkeypatch, share):
+        # Every call over the share divides the run's tolerance by 3, down
+        # to the strict one; a run under it keeps the working tolerance.
+        net = symmetrize(random_sized_network(1016, 21, 49), 0.025)
+        target = 2 * 2.788 + (1 + 0.025) * net.arc_capacities.sum()
+        tolerances = []
+
+        def spy(net_, weights, target_, x0=None, tol=None):
+            tolerances.append(tol)
+            return oracle_step(net_, weights, target_, x0, tol)
+
+        monkeypatch.setattr(mwu, "oracle_step", spy)
+        monkeypatch.setattr(mwu, "REPAIR_SHARE", share)
+        next(bounded_flow_attempts(net, target, max_iterations=10))
+        strict = mwu.default_solve_tolerance(net.epsilon, net.edge_count)
+        tol, expected = mwu.WORKING_TOLERANCE, []
+        for _ in tolerances:
+            expected.append(tol)
+            if share == 0.0:
+                tol = max(tol / 3.0, strict)
+        assert len(tolerances) >= 8
+        assert tolerances == expected
+
+    def test_holds_the_calls_of_strict_solves(self, monkeypatch):
+        # 250 vertices, 1,250 arcs: a fixed working tolerance costs oracle
+        # calls here (107 against 83), the tightened one does not.
+        G = random_sized_network(5, 250, 1250)
+
+        def calls(tol, share):
+            monkeypatch.setattr(mwu, "WORKING_TOLERANCE", tol)
+            monkeypatch.setattr(mwu, "REPAIR_SHARE", share)
+            return approx_max_flow(G, 0.25)[1].oracle_calls
+
+        working = mwu.WORKING_TOLERANCE
+        strict = calls(1e-8, mwu.REPAIR_SHARE)
+        assert calls(working, mwu.REPAIR_SHARE) == strict
+        assert calls(working, math.inf) > strict
 
 
 class TestOracleInequalities:
