@@ -5,18 +5,19 @@ Each oracle step prices every edge of the symmetrized network by
 s-t flow of the requested value, and the loop fails when the flow's energy
 exceeds a threshold derived from the weight total and the solve's dual
 bound proves that no flow within the capacities has so little energy
-(`oracle_step`).  After each successful
-call two candidates are checked: the running average of the flows so far,
-then the current flow.  The loop stops at the first that stays within the
-per-edge bound ``|f| <= (1+eps) * u_parent`` and has the exact target
-value, both verified explicitly before returning; ``eps`` is the network's
-own.  A run starts from unit weights unless it is given other positive
-weights to start from, such as the final weights of an earlier run on the
-same network; an energy failure certifies infeasibility whatever the
-weights, so neither the start nor the update rule changes what a run
-concludes, only what it costs.  The update multiplies each weight by the
-square of ``1 + congestion / step``, two rate-1 steps per call, which
-about halves the calls that a single step takes; higher powers overshoot.
+(`oracle_step`).  After each successful call one candidate is checked, a
+point of the segment from the current flow to the running average of the
+flows so far: every point of it conserves and has the exact target value,
+so one pass over the edges finds the points that stay within the per-edge
+bound ``|f| <= (1+eps) * u_parent`` (`_segment_candidate`).  The loop stops
+when the candidate verifies explicitly; ``eps`` is the network's own.  A
+run starts from unit weights unless it is given other positive weights to
+start from, such as the final weights of an earlier run on the same
+network; an energy failure certifies infeasibility whatever the weights, so
+neither the start nor the update rule changes what a run concludes, only
+what it costs.  The update multiplies each weight by the square of
+``1 + congestion / step``, two rate-1 steps per call, which about halves
+the calls that a single step takes; higher powers overshoot.
 """
 
 from __future__ import annotations
@@ -255,6 +256,45 @@ def check_bounded_flow(
     return True
 
 
+def _segment_candidate(
+    net: SymmetrizedNetwork, avg: np.ndarray, it: np.ndarray
+) -> np.ndarray | None:
+    """The one point of the segment ``it + lam (avg - it)``, ``lam`` in
+    [0, 1], that is worth checking, or None when no point of it stays
+    within the bound of `check_bounded_flow`.
+
+    The average is preferred (``lam = 1``), then the iterate (``lam = 0``),
+    then the midpoint of the ``lam`` that fit.  An edge within its bound at
+    both ends stays within it along the whole segment, so only the edges
+    outside it at an end confine ``lam``: each to the interval between
+    ``(+-bound - it) / (avg - it)``, which the infinities of a division by
+    zero leave empty where ``avg == it``.  Floating-point errors stay
+    silent: a printed warning would reach the solve's output, and reading
+    this file in for it would add to the solve's memory."""
+    with np.errstate(all="ignore"):
+        bound = (1.0 + net.epsilon) * net.parent_capacity
+        bound *= 1.0 + _CHECK_RTOL
+        out_avg = np.abs(avg) > bound
+        if not out_avg.any():
+            return avg
+        out_it = np.abs(it) > bound
+        if not out_it.any():
+            return it
+        k = np.flatnonzero(out_avg | out_it)
+        x, b = it[k], bound[k]
+        d = avg[k] - x
+        q1 = (b - x) / d
+        q2 = (-b - x) / d
+        low = max(0.0, float(np.minimum(q1, q2).max()))
+        high = min(1.0, float(np.maximum(q1, q2).min()))
+        if not low <= high:
+            return None
+        blend = avg - it
+        blend *= 0.5 * (low + high)
+        blend += it
+        return blend
+
+
 def iteration_schedule(net: SymmetrizedNetwork) -> int:
     """Theoretical oracle-call budget 2 * width * ln(edges) / eps^2."""
     return math.ceil(
@@ -308,10 +348,12 @@ def solve_bounded_flow(
 
     Starts from unit weights (`bounded_flow_attempts` can start from
     others) and iterates the congestion oracle, reweighting edges by their
-    congestion after each successful step.  After every step the running
-    average of the flows so far, then the current flow, is checked against
-    the contract, and the first that verifies is returned.  The failure
-    modes are:
+    congestion after each successful step.  After every step one point of
+    the segment from the current flow to the running average of the flows
+    so far is checked against the contract, and returned if it verifies:
+    the average if it fits the per-edge bound, else the current flow if it
+    fits, else the midpoint of the points that fit; no check is made when
+    no point fits.  The failure modes are:
 
     - ``"oracle-energy"``: an oracle step's energy exceeded its threshold,
       and its dual bound exceeded the unpadded threshold (or a strict
@@ -354,6 +396,9 @@ def bounded_flow_attempts(
     run from its weights, running sum, last potentials and working
     tolerance; ``iterations`` counts the calls of the whole run.  The
     generator ends after a success or a certified failure.
+
+    Each call's candidate comes from `_segment_candidate`, and only a
+    candidate that `check_bounded_flow` accepts is returned.
 
     The working tolerance starts at `WORKING_TOLERANCE`, and each call whose
     working solve needed a repair over `REPAIR_SHARE` times eps' of an
@@ -415,10 +460,10 @@ def bounded_flow_attempts(
             tol = max(tol / 3.0, strict_tol)
         phi_prev = result.potentials
         flow_sum += result.flow.values
-        for cand in (flow_sum / i, result.flow.values):
-            if check_bounded_flow(net, cand, target_value):
-                yield BoundedFlowResult(FlowAssignment(net, cand), i, None, weights)
-                return
+        cand = _segment_candidate(net, flow_sum / i, result.flow.values)
+        if cand is not None and check_bounded_flow(net, cand, target_value):
+            yield BoundedFlowResult(FlowAssignment(net, cand), i, None, weights)
+            return
 
         weights = update_weights(weights, cong, eps, width)
         top = float(weights.max())

@@ -1,7 +1,11 @@
 import dataclasses
+import importlib.util
 import itertools
 import json
 import math
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from emaxflow import (
     approx_max_flow,
     WidthViolationError,
     exact_max_flow,
+    parse_dimacs,
     solve_bounded_flow,
     symmetrize,
 )
@@ -307,7 +312,7 @@ class TestSolveBoundedFlow:
         # the run verified (about 1,100 calls; 54 at rate 1, 28 with the
         # squared factor); a run cut short there would wrongly report no
         # flow.
-        G = random_sized_network(1016, 21, 49)
+        G = random_sized_network(1018, 21, 49)
         eps = 0.025
         net = symmetrize(G, eps)
         target = 2 * 2.788 + (1 + eps) * G.total_capacity()
@@ -318,7 +323,7 @@ class TestSolveBoundedFlow:
     def test_resume_continues_the_same_run(self):
         # An exhausted budget certifies nothing, and advancing again picks
         # up the same trajectory a single run with twice the budget takes.
-        G = random_sized_network(1016, 21, 49)
+        G = random_sized_network(1018, 21, 49)
         eps = 0.025
         net = symmetrize(G, eps)
         target = 2 * 2.788 + (1 + eps) * G.total_capacity()
@@ -344,6 +349,117 @@ class TestSolveBoundedFlow:
         res = solve_bounded_flow(net, 3.5, trace=lambda i, d: records.append((i, d)))
         assert len(records) == res.iterations
         assert records[0][1].threshold == pytest.approx(6.7375, rel=1e-12)
+
+
+class TestSegmentCandidate:
+    """After each call the loop checks one point of the segment from the
+    iterate to the running average: the average if it fits the bound, else
+    the iterate if it fits, else the midpoint of the fitting points."""
+
+    # One arc 0 -> 1 at eps 0.5: three parallel s-t edges, each bounded by
+    # 1.5, so any split of the value 3 conserves.
+    net = single_arc_net()
+
+    def bound(self):
+        return (1.0 + self.net.epsilon) * self.net.parent_capacity * (1.0 + mwu._CHECK_RTOL)
+
+    def test_midpoint_verifies_where_both_ends_break(self):
+        it = np.array([2.0, 1.0, 0.0])
+        avg = np.array([0.0, 1.0, 2.0])
+        assert not check_bounded_flow(self.net, it, 3.0)
+        assert not check_bounded_flow(self.net, avg, 3.0)
+        # lam lies in [0.25, 0.75]: edge 0 needs 2 - 2 lam <= 1.5, edge 2 2 lam <= 1.5.
+        cand = mwu._segment_candidate(self.net, avg, it)
+        assert cand.tolist() == [1.0, 1.0, 1.0]
+        assert check_bounded_flow(self.net, cand, 3.0)
+
+    def test_prefers_the_average_then_the_iterate(self):
+        fits, breaks = np.array([1.0, 1.0, 1.0]), np.array([2.0, 1.0, 0.0])
+        assert mwu._segment_candidate(self.net, fits, breaks) is fits
+        assert mwu._segment_candidate(self.net, breaks, fits) is fits
+        other = np.array([1.4, 1.4, 0.2])
+        assert mwu._segment_candidate(self.net, other, fits) is other
+
+    def test_empty_interval_returns_nothing(self):
+        # Edge 0 needs lam >= 5/9, edge 2 lam <= 4/9.
+        it = np.array([2.0, 1.5, 1.1])
+        avg = np.array([1.1, 1.5, 2.0])
+        assert mwu._segment_candidate(self.net, avg, it) is None
+
+    def test_no_check_while_no_point_fits(self, monkeypatch):
+        # This run verifies at its 18th call.  Before that no point of any
+        # segment fits the bound, so it checks one candidate in all.
+        G = random_sized_network(1016, 21, 49)
+        net = symmetrize(G, 0.025)
+        target = 2 * 2.788 + 1.025 * G.total_capacity()
+        calls, checked = [], []
+
+        def spy(net_, values, target_):
+            checked.append(len(calls))
+            return check_bounded_flow(net_, values, target_)
+
+        monkeypatch.setattr(mwu, "check_bounded_flow", spy)
+        res = solve_bounded_flow(net, target, trace=lambda i, d: calls.append(i))
+        assert res.succeeded and res.iterations == 18
+        assert checked == [18]
+        assert check_bounded_flow(net, res.flow.values, target)
+
+    @pytest.mark.parametrize("level", [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+    def test_silent_where_average_and_iterate_agree(self, level):
+        # Edge 0 sits inside, on and beyond its bound with avg == it; beyond
+        # it, its quotients divide by zero.  No floating-point warning may
+        # escape.
+        b = float(self.bound()[0])
+        it = np.array([level * b, 1.0, 0.5])
+        avg = np.array([level * b, 0.5, 1.0])
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
+            cand = mwu._segment_candidate(self.net, avg, it)
+            same = mwu._segment_candidate(self.net, it, it)
+        if abs(level) <= 1.0:
+            assert cand is avg and same is it
+        else:
+            assert cand is None and same is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 199), frac=st.floats(0.5, 1.2), spread=st.floats(0.0, 4.0))
+    def test_candidate_verifies_and_lies_on_the_segment(self, seed, frac, spread):
+        G = random_network(seed, n_max=8, m_max=16)
+        assume(G.edge_count > 0)
+        eps = 0.25
+        net = symmetrize(G, eps)
+        maxval, _ = undirected_max_flow_witness(net)
+        baseline = (1 + eps) * G.total_capacity()
+        target = baseline + frac * max(maxval - baseline, 1.0)
+        rng = np.random.default_rng(seed)
+        it = oracle_step(net, np.ones(net.edge_count), target)[0].flow.values
+        weights = 10.0 ** rng.uniform(-spread, spread, net.edge_count)
+        avg = oracle_step(net, weights, target)[0].flow.values
+        cand = mwu._segment_candidate(net, avg, it)
+        lams = np.linspace(0.0, 1.0, 101)
+        if cand is None:
+            assert not any(check_bounded_flow(net, it + lam * (avg - it), target) for lam in lams)
+            return
+        assert check_bounded_flow(net, cand, target)
+        d = avg - it
+        lam = float(np.dot(cand - it, d) / np.dot(d, d)) if np.dot(d, d) > 0 else 0.0
+        assert -1e-12 <= lam <= 1 + 1e-12
+        assert np.allclose(cand, it + lam * d, rtol=1e-12, atol=1e-12 * float(np.abs(it).max()))
+
+
+def test_seed_1_random_workload_makes_36_calls(monkeypatch):
+    # The benchmark's `random` workload, solved in process: 59 + 14 calls
+    # when only the average and the iterate were tried.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    calls = [
+        approx_max_flow(parse_dimacs(inst.dimacs), inst.epsilon)[1].oracle_calls
+        for inst in workloads.workload("random", 1)
+    ]
+    assert calls == [23, 13]
 
 
 class TestStartWeights:
@@ -557,9 +673,9 @@ class TestWorkingTolerance:
         assert tolerances == expected
 
     def test_holds_the_calls_of_strict_solves(self, monkeypatch):
-        # 250 vertices, 1,250 arcs: a fixed working tolerance costs oracle
-        # calls here (107 against 83), the tightened one does not.
-        G = random_sized_network(5, 250, 1250)
+        # 500 vertices, 2,500 arcs: a fixed working tolerance costs oracle
+        # calls here (195 against 183), the tightened one does not.
+        G = random_sized_network(1, 500, 2500)
 
         def calls(tol, share):
             monkeypatch.setattr(mwu, "WORKING_TOLERANCE", tol)
