@@ -1,12 +1,13 @@
 """Command-line frontend: solve, gen, and verify subcommands.
 
-Exit codes: 0 success, 1 usage error, 2 input/parse error, 3 internal
-invariant violation, 4 verification failure.
+Exit codes: 0 success, 1 usage error, 2 input/parse error or unwritable
+output, 3 internal invariant violation, 4 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import sys
@@ -36,6 +37,11 @@ def _load_network(path: str) -> DirectedNetwork:
         return parse_dimacs(fp)
 
 
+def _cannot_write(path: str, exc: OSError) -> int:
+    print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+    return EXIT_INPUT
+
+
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
@@ -53,8 +59,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    trace_fp = open(args.trace, "w", encoding="utf-8") if args.trace else None
-    try:
+    with contextlib.ExitStack() as stack:
+        # Both outputs are opened before the solve, so an unwritable path
+        # costs no solve.
+        def output(path):
+            return stack.enter_context(open(path, "w", encoding="utf-8")) if path else None
+
+        try:
+            trace_fp, report_fp = output(args.trace), output(args.report)
+        except OSError as exc:
+            return _cannot_write(exc.filename, exc)
         result, report = approx_max_flow(
             network,
             args.epsilon,
@@ -62,14 +76,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
             instance=args.input,
             on_trace=(lambda rec: trace_fp.write(json.dumps(rec) + "\n")) if trace_fp else None,
         )
-    finally:
-        if trace_fp:
-            trace_fp.close()
-
-    payload = json.dumps(report.to_dict(), indent=2)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fp:
-            fp.write(payload + "\n")
+        payload = json.dumps(report.to_dict(), indent=2)
+        if report_fp:
+            report_fp.write(payload + "\n")
     print(payload)
     return EXIT_OK
 
@@ -97,8 +106,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
     network = DirectedNetwork(n, arcs, source=0, sink=n - 1)
     text = write_dimacs(network)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fp:
-            fp.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fp:
+                fp.write(text)
+        except OSError as exc:
+            return _cannot_write(args.output, exc)
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -2,23 +2,22 @@
 
 `approx_max_flow` probes candidate flow values F, asking the bounded-flow
 solver on the symmetrized network for value 2F + (1+eps')*total capacity and
-recovering a feasible directed flow from each success.  The search keeps
-the best recovered flow and one top, which starts at the smaller of the
-source and sink cuts, and stops when the top is within a relative gap of
-the best value.  Every probe that gives no flow becomes the new top: one
-certified infeasible by a cut or an energy failure, one still unknown after
-its oracle budget is resumed once from its own state, and one whose flow
-recovery rejects.  Before the search one oracle call at unit weights gives
-potentials whose best threshold cut bounds F* from above; recovery would
-turn a success at F into a feasible flow worth about F/(1+eps'), so a
-probe above (1+eps') times that cut fails without an oracle call.
-Certified and unknown probes differ only in the warm start: the first
-probe's MWU run starts from unit weights, and each later one from the
-final weights of the last probe that did not end in a certified failure.
-Neither an energy failure nor a verified success depends on the start, so
-this changes only how many oracle calls a probe takes.  Each MWU run takes
-its accuracy from the symmetrized network, built at eps', and per-call
-trace lines are built only for an ``on_trace`` callback.
+recovering a feasible directed flow from each success.  Before the search
+one oracle call at unit weights gives potentials whose best threshold cut,
+with the source and sink cuts, bounds F* from above.  The search keeps the
+best recovered flow and one top, which starts at that bound, and stops when
+the top is within a relative gap of the best value.  Every probe goes to
+the oracle, and every probe that gives no flow becomes the new top: one
+certified infeasible by an energy failure, one still unknown after its
+oracle budget is resumed once from its own state, and one whose flow
+recovery rejects.  Certified and unknown probes differ only in the warm
+start: the first probe's MWU run starts from unit weights, and each later
+one from the final weights of the last probe that did not end in a
+certified failure.  Neither an energy failure nor a verified success
+depends on the start, so this changes only how many oracle calls a probe
+takes.  Each MWU run takes its accuracy from the symmetrized network,
+built at eps', and per-call trace lines are built only for an
+``on_trace`` callback.
 `exact_max_flow` is a plain blocking-flow (Dinic) implementation used for
 upper bounds in reports and for verification.
 """
@@ -38,16 +37,7 @@ from .mwu import OracleDiagnostics, bounded_flow_attempts, oracle_step
 from .network import DirectedNetwork, FlowAssignment, SymmetrizedNetwork, bfs_levels, symmetrize
 from .recovery import RecoveryError, RecoveryResult, recover_directed_flow
 
-#: The search stops once its top is within the gap of this fraction of the
-#: starting top, so searches on instances with max flow 0 terminate.
-_BISECTION_FLOOR = 2.0**-20
-
 _MAX_PROBES = 64
-
-#: Relative slack on the cut rule.  It covers recovery's verification
-#: tolerance, 1e-9 of the symmetrized target 2F + (1+eps')U, which can be
-#: hundreds of times the probe value F, and the rounding of the cut's sum.
-_CUT_MARGIN = 1e-6
 
 
 class _Dinic:
@@ -295,16 +285,13 @@ def approx_max_flow(
     best recovered value.  The returned flow is always feasible (capacities
     and conservation hold exactly) regardless of approximation quality.
 
-    A probe value is certified infeasible in one of two ways: the
-    bounded-flow solver fails on energy, or the value exceeds (1+eps') times
-    the certified upper bound, the smaller of the source/sink cut and the
-    best threshold cut over unit-weight electrical potentials
-    (`_threshold_cut`).  A success at F would recover a feasible flow worth
-    about F/(1+eps'), more than any cut carries, so such a probe is decided
-    without an oracle call.  ``report.upper_bound`` holds that bound.  A
-    probe still unknown after its resume, or whose flow recovery rejects,
-    lowers the top all the same: certified and unknown probes differ only
-    in the next probe's start weights.
+    The search's top starts at a certified upper bound on F*, the smaller
+    of the source/sink cut and the best threshold cut over unit-weight
+    electrical potentials (`_threshold_cut`); ``report.upper_bound`` holds
+    it.  Every probe runs the bounded-flow solver.  A probe certified
+    infeasible by an energy failure, one still unknown after its resume,
+    and one whose flow recovery rejects all lower the top: certified and
+    unknown probes differ only in the next probe's start weights.
 
     ``on_trace``, when given, receives one dict per oracle call (the
     ``--trace`` line); without it no per-call record is built.
@@ -337,13 +324,12 @@ def approx_max_flow(
     if top > 0.0:
         net = symmetrize(pruned, eps_i)
         baseline = (1.0 + eps_i) * pruned.total_capacity()
-        # Unit weights and the first probe's target: the very solve the
-        # first probe's first oracle call makes.
+        # Unit weights and the target of a first probe under the source/sink
+        # cut: where the threshold cut does not lower the top, this is the
+        # very solve the first probe's first oracle call makes.
         target = 2.0 * (0.75 * top) + baseline
         phi = oracle_step(net, np.ones(net.edge_count), target)[0].potentials
-        upper = min(top, _threshold_cut(pruned, phi))
-        cut_limit = (1.0 + eps_i) * (1.0 + _CUT_MARGIN) * upper
-        floor = top * _BISECTION_FLOOR
+        top = upper = min(top, _threshold_cut(pruned, phi))
         # Recovery returns at least probe/(1+eps'), so the certified lower
         # bound trails the bracket top by that factor even at convergence;
         # the termination gap accounts for it, and a probe that fails to
@@ -352,39 +338,37 @@ def approx_max_flow(
         # Start weights for the next probe: the final weights of the last
         # probe that succeeded or stayed unknown, None (unit) before one.
         warm = None
-        while top > gap * max(best.value, floor) and probes < _MAX_PROBES:
+        while top > gap * best.value and probes < _MAX_PROBES:
             probes += 1
             # Bias probes toward the top of the bracket: a success then jumps
             # the certified bound most of the way to the top, and a failure
             # still shrinks the bracket by a quarter.
             probe_value = 0.25 * best.value + 0.75 * top
             rec = None
-            # A probe above the cut line fails without an oracle call.
-            if probe_value <= cut_limit:
-                attempts = bounded_flow_attempts(
-                    net,
-                    2.0 * probe_value + baseline,
-                    trace=None if on_trace is None else (
-                        lambda i, d, p=probes: on_trace(_trace_line(p, i, d))
-                    ),
-                    weights=warm,
-                )
+            attempts = bounded_flow_attempts(
+                net,
+                2.0 * probe_value + baseline,
+                trace=None if on_trace is None else (
+                    lambda i, d, p=probes: on_trace(_trace_line(p, i, d))
+                ),
+                weights=warm,
+            )
+            result = next(attempts)
+            if not (result.succeeded or result.certified_infeasible):
+                # An exhausted budget proves nothing: resume the same run
+                # once from its weights, averages and potentials.
                 result = next(attempts)
-                if not (result.succeeded or result.certified_infeasible):
-                    # An exhausted budget proves nothing: resume the same run
-                    # once from its weights, averages and potentials.
-                    result = next(attempts)
-                oracle_calls += result.iterations
-                if not result.certified_infeasible:
-                    warm = result.weights
-                if result.succeeded:
-                    try:
-                        rec = recover_directed_flow(result.flow, pruned)
-                    except RecoveryError:
-                        pass
+            oracle_calls += result.iterations
+            if not result.certified_infeasible:
+                warm = result.weights
+            if result.succeeded:
+                try:
+                    rec = recover_directed_flow(result.flow, pruned)
+                except RecoveryError:
+                    pass
             if rec is None:
-                # Cut, energy or disconnected failure, a probe still unknown
-                # after its resume, or a failed recovery: look below it.
+                # Energy or disconnected failure, a probe still unknown after
+                # its resume, or a failed recovery: look below it.
                 fail_count += 1
                 top = probe_value
             elif rec.value > best.value:

@@ -42,17 +42,17 @@ from .network import FlowAssignment, SymmetrizedNetwork, incidence_product
 DEFAULT_ITERATION_CAP = 2000
 # Relative tolerance of every test in `check_bounded_flow`.
 _CHECK_RTOL = 1e-9
-#: Relative residual at which a run's oracle calls first stop CG.  A call
-#: whose working solve needs a conservation repair of more than
-#: `REPAIR_SHARE` times eps' of some edge's capacity is solved again
-#: strictly, and its run divides its working tolerance by 3, down to the
-#: strict `default_solve_tolerance` (`oracle_step`, `bounded_flow_attempts`).
+#: Relative residual at which a run's oracle calls first stop CG.  After a
+#: call whose working solve needs a conservation repair of more than
+#: `REPAIR_SHARE` times eps' of some edge's capacity, its run divides its
+#: working tolerance by 3, down to the strict `default_solve_tolerance`
+#: (`bounded_flow_attempts`).
 WORKING_TOLERANCE = 3e-6
 #: Largest conservation repair, as a share of eps' times an edge's
-#: capacity, that a working solve may need.  Larger repairs cost oracle
-#: calls: on a random digraph of 500 vertices and 2,500 arcs, fixed working
-#: tolerances whose repairs reach 0.07 / 0.38 / 0.79 of eps' take 199 /
-#: 432 / 762 calls.
+#: capacity, that a working solve may need before its run tightens its
+#: working tolerance.  Larger repairs cost oracle calls: on a random
+#: digraph of 500 vertices and 2,500 arcs, fixed working tolerances whose
+#: repairs reach 0.07 / 0.38 / 0.79 of eps' take 199 / 432 / 762 calls.
 REPAIR_SHARE = 0.1
 
 
@@ -166,24 +166,22 @@ def oracle_step(
 
     The working solve stops CG at the relative residual ``tol``
     (`WORKING_TOLERANCE` unless given).  It is solved again at the strict
-    `default_solve_tolerance` in three cases, so that no decision is less
-    sure than a strict solve makes it and no flow much less accurate:
+    `default_solve_tolerance` in two cases, so that no decision is less
+    sure than a strict solve makes it:
 
     - its tree repair raises `RepairError`; the strict solve starts from
       ``x0`` and raises it only where a strict solve always did;
-    - its repair moves some edge by more than `REPAIR_SHARE` times eps' of
-      the edge's capacity;
     - its energy is over the threshold but its dual bound ``D(phi)`` does
       not exceed the unpadded threshold ``threshold / (1 + eps/10)``, the
       most energy any flow within the capacities can have; the strict
-      solve's energy then decides, as the padding of `fail_threshold`
-      allows.
+      solve starts from the working solve's potentials, and its energy
+      then decides, as the padding of `fail_threshold` allows.
 
-    The last two start from the working solve's potentials.  A failure
-    whose ``D`` exceeds the unpadded threshold needs no second solve: no
-    flow within the capacities exists, whatever the solve's accuracy.  So
-    the returned call failed exactly when its energy is over the
-    threshold."""
+    A failure whose ``D`` exceeds the unpadded threshold needs no second
+    solve: no flow within the capacities exists, whatever the solve's
+    accuracy.  So the returned call failed exactly when its energy is over
+    the threshold.  A large repair is not solved again here: the run
+    tightens the tolerance of its later calls instead."""
     if target_value < 0:
         raise ValueError("target_value must be nonnegative")
     eps = net.epsilon
@@ -200,9 +198,7 @@ def oracle_step(
     else:
         share = result.repair_share
         unpadded = threshold / (1.0 + eps / 10.0)
-        if share > REPAIR_SHARE * eps or (
-            result.energy > threshold and not result.energy_lower > unpadded
-        ):
+        if result.energy > threshold and not result.energy_lower > unpadded:
             result = electrical_st_flow(net, r, target_value, strict_tol, result.potentials)
     cong = np.abs(result.flow.values) / net.parent_capacity
     diag = OracleDiagnostics(

@@ -91,6 +91,17 @@ class TestSolve:
                 "energy_lower",
             }
 
+    @pytest.mark.parametrize("flag", ["--trace", "--report"])
+    def test_unwritable_output_is_input_error(self, single_arc_file, tmp_path, capsys, flag):
+        # The path's directory does not exist: no solve runs, nothing
+        # reaches stdout, and the error names the path.
+        path = str(tmp_path / "missing" / "out.json")
+        code = main(["solve", "--input", single_arc_file, "--epsilon", "0.25", flag, path])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+
     def test_trace_is_strict_json(self, tmp_path, capsys):
         # An instance whose search has energy failures: every line parses
         # without NaN or Infinity, and each failure carries its certificate,
@@ -139,6 +150,13 @@ class TestGen:
         assert net.vertex_count == 4
         assert net.edge_count == 5
         assert (net.source, net.sink) == (0, 3)
+
+    def test_unwritable_output_is_input_error(self, tmp_path, capsys):
+        path = str(tmp_path / "missing" / "g.max")
+        assert main(["gen", "--n", "4", "--m", "5", "--output", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
 
     def test_matches_the_explicit_pair_list(self, capsys):
         # Sampling pair indices gives the file that sampling the list of all

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import emaxflow.driver
 from emaxflow import (
+    BoundedFlowResult,
     DirectedNetwork,
     RecoveryError,
     SolveReport,
@@ -14,7 +15,7 @@ from emaxflow import (
     exact_max_flow,
     symmetrize,
 )
-from emaxflow.driver import _CUT_MARGIN, _threshold_cut, undirected_max_flow_witness
+from emaxflow.driver import _MAX_PROBES, _threshold_cut, undirected_max_flow_witness
 
 from corpus import (
     grid_network,
@@ -205,52 +206,69 @@ class TestThresholdCut:
         assert got == want
 
 
+def _probe_values(monkeypatch):
+    """Spy on the driver's `bounded_flow_attempts`; returns the list that
+    collects each probe's value F from its target 2F + (1+eps')U."""
+    started = []
+    attempts = emaxflow.driver.bounded_flow_attempts
+
+    def spy(net, target, *args, **kwargs):
+        baseline = (1.0 + net.epsilon) * float(net.arc_capacities.sum())
+        started.append((target - baseline) / 2.0)
+        return attempts(net, target, *args, **kwargs)
+
+    monkeypatch.setattr(emaxflow.driver, "bounded_flow_attempts", spy)
+    return started
+
+
 class TestCutCertifiedProbes:
     @pytest.mark.parametrize("seed, rows, cols", [(0, 3, 4), (3, 3, 4), (2, 4, 5)])
     def test_no_probe_started_above_the_line(self, monkeypatch, seed, rows, cols):
         # On these grids the unit-weight threshold cut is a minimum cut, so
-        # no probe above (1+eps')(1+delta) F* may reach the oracle.
+        # the search starts at F* and every probe reaches the oracle below it.
         G = grid_network(seed, rows, cols)
         eps = 0.25
-        eps_i = eps / 4
-        started = []
-        attempts = emaxflow.driver.bounded_flow_attempts
-
-        def spy(net, target, *args, **kwargs):
-            baseline = (1.0 + eps_i) * float(net.arc_capacities.sum())
-            started.append((target - baseline) / 2.0)
-            return attempts(net, target, *args, **kwargs)
-
-        monkeypatch.setattr(emaxflow.driver, "bounded_flow_attempts", spy)
+        started = _probe_values(monkeypatch)
         rec, report = approx_max_flow(G, eps, exact_check=True)
         fstar = report.exact_value
         assert report.upper_bound == fstar
-        assert started and len(started) < report.search_iterations
-        assert max(started) <= (1.0 + eps_i) * (1.0 + _CUT_MARGIN) * fstar
+        assert started and len(started) == report.search_iterations
+        assert max(started) <= report.upper_bound
         assert rec.value >= (1 - eps) * fstar
 
-    def test_cut_changes_only_the_call_count(self, monkeypatch):
-        # Some probe between F* and (1+eps') F* succeeds on this grid, so
-        # the rule must leave such probes to the oracle.
+    def test_cut_lowers_the_top_and_the_calls(self, monkeypatch):
+        # The cut lowers the search's top from the source/sink cut, 300, to
+        # F* = 135 on this grid, and the search makes fewer oracle calls
+        # from there (5 against 54); both searches keep the guarantee.
         G = grid_network(3, 3, 3)
-        rec, report = approx_max_flow(G, 0.25)
+        eps = 0.25
+        rec, report = approx_max_flow(G, eps, exact_check=True)
         monkeypatch.setattr(emaxflow.driver, "_threshold_cut", lambda net, phi: np.inf)
-        rec0, report0 = approx_max_flow(G, 0.25)
-        assert np.array_equal(rec.directed_flow.values, rec0.directed_flow.values)
-        assert report.search_iterations == report0.search_iterations
-        assert report.fail_count == report0.fail_count
+        rec0, report0 = approx_max_flow(G, eps)
+        assert report.upper_bound == report.exact_value < report0.upper_bound
         assert report.oracle_calls < report0.oracle_calls
+        assert rec.value >= (1 - eps) * report.exact_value
+        assert rec0.value >= (1 - eps) * report.exact_value
 
-    def test_c6_instance_6_skips_its_hopeless_probes(self):
-        # Its first probe recovers F* = 5 in 7 oracle calls; the seven
-        # probes after it lie above (1+eps') F*, and the cut decides them
-        # with no call.  Before the cut, such probes took 8,699 of its
-        # 9,335 oracle calls.
+    def test_c6_instance_6_skips_its_hopeless_probes(self, monkeypatch):
+        # The cut bounds F* = 5 exactly, so no probe starts above it: two
+        # probes recover F* in 5 oracle calls with no failure.  Before the
+        # cut, probes above (1+eps') F* took 8,699 of its 9,335 oracle calls.
         G = random_sized_network(1006, 10, 22)
+        started = _probe_values(monkeypatch)
         rec, report = approx_max_flow(G, 0.1)
         assert rec.value == pytest.approx(5.0, rel=1e-12)
-        assert report.search_iterations == 8 and report.fail_count == 7
+        assert report.upper_bound == 5.0 and max(started) <= report.upper_bound
+        assert report.fail_count == 0
         assert report.oracle_calls < 1_000
+
+    def test_every_probe_reaches_the_oracle_below_the_bound(self, monkeypatch):
+        started = _probe_values(monkeypatch)
+        for seed in range(200):
+            started.clear()
+            _, report = approx_max_flow(random_network(seed), 0.25)
+            assert len(started) == report.search_iterations
+            assert all(value <= report.upper_bound for value in started)
 
     def test_upper_bound_is_certified(self):
         for seed in range(12):
@@ -438,6 +456,21 @@ class TestApproxMaxFlow:
         G = random_sized_network(1020, 65, 319)
         rec, report = approx_max_flow(G, 0.1, exact_check=True)
         assert rec.value >= 0.9 * report.exact_value
+
+    def test_unknown_probes_stop_at_the_probe_limit(self, monkeypatch):
+        # Every probe ends unknown after its resume, so each lowers the top
+        # by a quarter and none gives a flow: the search stops after
+        # `_MAX_PROBES` probes with the zero flow.
+        def unknown(net, target, *, weights=None, **kwargs):
+            w = np.ones(net.edge_count) if weights is None else weights
+            for i in (1, 2):
+                yield BoundedFlowResult(None, i, "iteration-budget", w)
+
+        monkeypatch.setattr(emaxflow.driver, "bounded_flow_attempts", unknown)
+        rec, report = approx_max_flow(diamond(), 0.25)
+        assert report.search_iterations == report.fail_count == _MAX_PROBES
+        assert report.oracle_calls == 2 * _MAX_PROBES
+        assert rec.value == 0.0 and not rec.directed_flow.values.any()
 
     def test_trace_lines_match_oracle_calls(self):
         records = []

@@ -617,10 +617,10 @@ class TestTraceScale:
 
 
 class TestWorkingTolerance:
-    """A working solve whose conservation repair is large is solved again
-    strictly, and its run tightens the tolerance its later calls stop at."""
+    """A working solve whose conservation repair is large stands, and its
+    run tightens the tolerance its later calls stop at."""
 
-    def test_large_repair_is_solved_again_strictly(self, monkeypatch):
+    def test_large_repair_is_not_solved_again(self, monkeypatch):
         net = symmetrize(random_sized_network(1016, 21, 49), 0.25)
         target = 2.0 + 1.25 * float(net.arc_capacities.sum())
         solve = mwu.electrical_st_flow
@@ -637,16 +637,14 @@ class TestWorkingTolerance:
         (tol1, _, first), = calls
         assert tol1 == mwu.WORKING_TOLERANCE
         assert result is first and diag.repair_share == first.repair_share > 0.0
-        # With no repair allowed, the working solve is solved again at the
-        # strict tolerance from its potentials, and the working share stays
-        # in the diagnostics.
+        # With no repair allowed, the call still makes one solve and reports
+        # its working share; only the run tightens its later calls.
         calls.clear()
         monkeypatch.setattr(mwu, "REPAIR_SHARE", 0.0)
         result, _, diag = oracle_step(net, weights, target)
-        (_, _, first), (tol2, x0, second) = calls
-        assert tol2 == mwu.default_solve_tolerance(net.epsilon, net.edge_count)
-        assert x0 is first.potentials and result is second
-        assert diag.repair_share == first.repair_share
+        (tol2, _, second), = calls
+        assert tol2 == mwu.WORKING_TOLERANCE
+        assert result is second and diag.repair_share == second.repair_share > 0.0
 
     @pytest.mark.parametrize("share", [0.0, math.inf])
     def test_run_tightens_its_tolerance(self, monkeypatch, share):
