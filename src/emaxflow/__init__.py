@@ -15,7 +15,6 @@ from .electrical import (
 )
 from .mwu import BoundedFlowResult, WidthViolationError, solve_bounded_flow
 from .network import (
-    ConservationError,
     DimacsParseError,
     DirectedNetwork,
     FlowAssignment,
@@ -29,7 +28,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundedFlowResult",
-    "ConservationError",
     "ConvergenceError",
     "DimacsParseError",
     "DirectedNetwork",

@@ -135,7 +135,10 @@ def _check_certificate(
 ) -> Optional[str]:
     """Validate a certificate's flows and value; returns an error message or None."""
     if flows.shape != (network.edge_count,):
-        return f"certificate has {flows.shape} arc flows, expected {network.edge_count}"
+        return (
+            f"certificate has {flows.shape} arc flows, expected {network.edge_count}: one per "
+            "arc in file order, leaving out self-loops and zero-capacity arcs"
+        )
     if not (np.isfinite(flows).all() and (declared is None or np.isfinite(declared))):
         return "certificate carries a non-finite number"
     tol = 1e-6 * max(1.0, float(network.capacities.max()) if network.edge_count else 1.0)

@@ -41,7 +41,8 @@ _MAX_PROBES = 64
 
 
 class _Dinic:
-    """Blocking-flow max flow on an adjacency list with residual edges."""
+    """Blocking-flow max flow on an adjacency list with residual edges; a
+    residual of at most ``tiny`` counts as saturated."""
 
     class _Edge:
         __slots__ = ("to", "rev", "cap")
@@ -51,8 +52,9 @@ class _Dinic:
             self.rev = rev
             self.cap = cap
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, tiny: float):
         self.n = n
+        self.tiny = tiny
         self.g: list[list[_Dinic._Edge]] = [[] for _ in range(n)]
 
     def add_edge(self, u: int, v: int, cap: float) -> tuple[int, int]:
@@ -67,10 +69,11 @@ class _Dinic:
             level[i] = -1
         level[s] = 0
         q = deque([s])
+        tiny = self.tiny
         while q:
             u = q.popleft()
             for e in self.g[u]:
-                if e.cap > 1e-12 and level[e.to] < 0:
+                if e.cap > tiny and level[e.to] < 0:
                     level[e.to] = level[u] + 1
                     q.append(e.to)
         return level[t] >= 0
@@ -85,11 +88,12 @@ class _Dinic:
         path: list[_Dinic._Edge] = []
         verts = [s]
         u = s
+        tiny = self.tiny
         while u != t:
             adj = self.g[u]
             while it[u] < len(adj):
                 e = adj[it[u]]
-                if e.cap > 1e-12 and level[e.to] == level[u] + 1:
+                if e.cap > tiny and level[e.to] == level[u] + 1:
                     break
                 it[u] += 1
             else:
@@ -122,8 +126,9 @@ class _Dinic:
 
 
 def exact_max_flow(network: DirectedNetwork) -> tuple[float, FlowAssignment]:
-    """Exact max flow value and a witness flow (blocking-flow algorithm)."""
-    dinic = _Dinic(network.vertex_count)
+    """Exact max flow value and a witness flow (blocking-flow algorithm).
+    A residual of at most 1e-12 times the largest capacity is saturated."""
+    dinic = _Dinic(network.vertex_count, 1e-12 * float(network.capacities.max(initial=0.0)))
     handles = []
     for u, v, c in zip(network.tails, network.heads, network.capacities):
         handles.append(dinic.add_edge(int(u), int(v), float(c)))
@@ -161,7 +166,12 @@ def _round12(x: Optional[float]) -> Optional[float]:
 
 @dataclass
 class SolveReport:
-    """Summary of one approximate solve, serializable with stable keys."""
+    """Summary of one approximate solve, serializable with stable keys.
+
+    ``oracle_calls`` and ``mwu_iterations_total`` both count the probes'
+    oracle calls; the unit-weight call before the search that sets
+    ``upper_bound`` is not among them.
+    """
 
     instance: str
     n: int
@@ -293,6 +303,11 @@ def approx_max_flow(
     and one whose flow recovery rejects all lower the top: certified and
     unknown probes differ only in the next probe's start weights.
 
+    The oracle squares capacities, so when the largest lies outside
+    [2^-64, 2^64] the search runs on capacities scaled by the power of two
+    that brings it into [1, 2); the flow, its value and the upper bound are
+    scaled back, exactly, so feasibility holds bit for bit.
+
     ``on_trace``, when given, receives one dict per oracle call (the
     ``--trace`` line); without it no per-call record is built.
     """
@@ -302,10 +317,13 @@ def approx_max_flow(
     t0 = time.perf_counter()
     eps_i = epsilon / 4.0
 
+    big = float(network.capacities.max(initial=0.0))
+    shift = math.frexp(big)[1] - 1 if big and not 2.0**-64 <= big <= 2.0**64 else 0
+    caps = np.ldexp(network.capacities, -shift) if shift else network.capacities
     useful = _useful_arcs(network)
     pruned = DirectedNetwork(
         network.vertex_count,
-        np.stack([network.tails[useful], network.heads[useful], network.capacities[useful]], axis=1),
+        np.stack([network.tails[useful], network.heads[useful], caps[useful]], axis=1),
         network.source,
         network.sink,
     )
@@ -378,7 +396,11 @@ def approx_max_flow(
 
     flows = np.zeros(network.edge_count)
     flows[useful] = best.directed_flow.values
-    best = replace(best, directed_flow=FlowAssignment(network, flows))
+    if shift:
+        flows = np.ldexp(flows, shift)
+    best = replace(
+        best, directed_flow=FlowAssignment(network, flows), value=math.ldexp(best.value, shift)
+    )
 
     exact_value = None
     ratio = None
@@ -402,6 +424,6 @@ def approx_max_flow(
         mwu_iterations_total=oracle_calls,
         fail_count=fail_count,
         wall_time_ms=(time.perf_counter() - t0) * 1000.0,
-        upper_bound=upper,
+        upper_bound=math.ldexp(upper, shift),
     )
     return best, report

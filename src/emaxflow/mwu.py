@@ -336,7 +336,6 @@ def solve_bounded_flow(
     net: SymmetrizedNetwork,
     target_value: float,
     *,
-    max_iterations: int | None = None,
     trace: TraceCallback | None = None,
 ) -> BoundedFlowResult:
     """Find an s-t flow of exactly ``target_value`` with every edge flow in
@@ -366,16 +365,13 @@ def solve_bounded_flow(
     the last.  Requires ``target_value`` strictly above (1+eps) * total arc
     capacity's worth of link routing, i.e. the sum of boosted capacities.
     """
-    return next(
-        bounded_flow_attempts(net, target_value, max_iterations=max_iterations, trace=trace)
-    )
+    return next(bounded_flow_attempts(net, target_value, trace=trace))
 
 
 def bounded_flow_attempts(
     net: SymmetrizedNetwork,
     target_value: float,
     *,
-    max_iterations: int | None = None,
     trace: TraceCallback | None = None,
     weights: np.ndarray | None = None,
 ) -> Iterator[BoundedFlowResult]:
@@ -408,12 +404,7 @@ def bounded_flow_attempts(
             f"capacity total {baseline}"
         )
     width = oracle_width(net)
-    budget = iteration_schedule(net)
-    if max_iterations is not None:
-        budget = min(budget, max_iterations)
-    else:
-        budget = min(budget, DEFAULT_ITERATION_CAP)
-    budget = max(budget, 1)
+    budget = max(min(iteration_schedule(net), DEFAULT_ITERATION_CAP), 1)
 
     log_scale = 0.0  # weights are renormalized; true total = total * exp(log_scale)
     if weights is None:

@@ -13,7 +13,6 @@ breadth-first search `bfs_levels` that also finds the arcs on s-t paths.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, TextIO, Union
 
@@ -28,36 +27,12 @@ class DimacsParseError(ValueError):
         self.line = line
 
 
-class ConservationError(ValueError):
-    """A flow violates conservation at an interior vertex."""
-
-
-class ArcDropReason(enum.Enum):
-    SELF_LOOP = "self-loop"
-    ZERO_CAPACITY = "zero-capacity"
-
-
-@dataclass(frozen=True)
-class DroppedArc:
-    """Record of an input arc removed at construction time."""
-
-    input_index: int
-    tail: int
-    head: int
-    capacity: float
-    reason: ArcDropReason
-
-
 class Provenance(enum.IntEnum):
     """Which of the three symmetrization edges a given edge is."""
 
     ORIGINAL = 0
     SOURCE_LINK = 1
     SINK_LINK = 2
-
-
-# Conservation tolerance of `flow_value`, relative to the largest flow.
-_VALUE_RTOL = 1e-9
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -70,7 +45,8 @@ class DirectedNetwork:
 
     ``arcs`` holds (tail, head, capacity) triples, as an iterable or an
     (m, 3) array.  Zero-capacity arcs and self-loops cannot carry s-t flow
-    and are dropped at construction; the drops are recorded in ``dropped``.
+    and are dropped at construction, so arc i of the network is the i-th
+    kept input arc.
     """
 
     def __init__(
@@ -104,16 +80,7 @@ class DirectedNetwork:
                 raise ValueError(f"arc {i}: vertex out of range")
             raise ValueError(f"arc {i}: capacity must be finite and >= 0")
         u, v = u.astype(np.int64), v.astype(np.int64)
-        loop = u == v
-        drop = loop | (c == 0.0)
-        self.dropped = tuple(
-            DroppedArc(
-                i, int(u[i]), int(v[i]), float(c[i]),
-                ArcDropReason.SELF_LOOP if loop[i] else ArcDropReason.ZERO_CAPACITY,
-            )
-            for i in np.flatnonzero(drop).tolist()
-        )
-        keep = ~drop
+        keep = (u != v) & (c != 0.0)
         self.vertex_count = vertex_count
         self.source = int(source)
         self.sink = int(sink)
@@ -124,10 +91,6 @@ class DirectedNetwork:
     @property
     def edge_count(self) -> int:
         return len(self.tails)
-
-    @property
-    def arcs(self) -> list[tuple[int, int, float]]:
-        return list(zip(self.tails.tolist(), self.heads.tolist(), self.capacities.tolist()))
 
     @cached_property
     def _incidence_ends(self) -> tuple[np.ndarray, np.ndarray | None]:
@@ -344,45 +307,16 @@ class FlowAssignment:
         return incidence_product(self.network, self.values)
 
     def interior_residual_max(self) -> float:
-        resid = np.abs(self.residuals()[_interior_mask(self.network)])
-        return float(resid.max()) if len(resid) else 0.0
+        resid = np.abs(self.residuals())
+        resid[[self.network.source, self.network.sink]] = 0.0
+        return float(resid.max())
 
     def source_outflow(self) -> float:
         """Net outflow at the source, without any conservation check."""
         return float(self.residuals()[self.network.source])
 
-    def value(self) -> float:
-        return flow_value(self)
-
     def __repr__(self) -> str:
         return f"FlowAssignment(edges={len(self.values)}, value~{self.source_outflow():.6g})"
-
-
-def _interior_mask(net: Network) -> np.ndarray:
-    """True at every vertex other than the source and the sink."""
-    mask = np.ones(net.vertex_count, dtype=bool)
-    mask[net.source] = False
-    mask[net.sink] = False
-    return mask
-
-
-def flow_value(flow: FlowAssignment) -> float:
-    """Value of a conserving flow: its net outflow at the source.
-
-    Raises `ConservationError`, naming the first vertex that fails, if any
-    vertex other than the source or sink has a conservation residual above
-    1e-9 times the largest flow magnitude (at least 1).
-    """
-    scale = max(1.0, float(np.abs(flow.values).max()) if len(flow.values) else 0.0)
-    tol = _VALUE_RTOL * scale
-    resid = flow.residuals()
-    bad = np.flatnonzero(_interior_mask(flow.network) & (np.abs(resid) > tol))
-    if len(bad):
-        v = int(bad[0])
-        raise ConservationError(
-            f"conservation residual {resid[v]:.3e} at vertex {v} exceeds {tol:.3e}"
-        )
-    return float(resid[flow.network.source])
 
 
 def parse_dimacs(text: str | TextIO) -> DirectedNetwork:
@@ -391,7 +325,8 @@ def parse_dimacs(text: str | TextIO) -> DirectedNetwork:
     Recognized lines: comments ``c ...``, one header ``p max <n> <m>``,
     node designations ``n <id> s|t`` (1-based ids), arcs
     ``a <tail> <head> <capacity>``.  Zero-capacity arcs and self-loops are
-    dropped by the `DirectedNetwork` constructor and recorded there.
+    dropped by the `DirectedNetwork` constructor; the other arcs keep their
+    file order.
     """
     if hasattr(text, "read"):
         text = text.read()

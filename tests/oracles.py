@@ -29,7 +29,7 @@ from emaxflow import (
     RepairError,
     SymmetrizedNetwork,
 )
-from emaxflow.network import ArcDropReason, DroppedArc, Network, Provenance
+from emaxflow.network import Network, Provenance
 
 
 def directed_min_cut(network: DirectedNetwork) -> float:
@@ -170,27 +170,23 @@ def brute_force_max_flow(network: DirectedNetwork) -> float:
     return float(best)
 
 
-def directed_arcs_reference(vertex_count: int, arcs) -> tuple[list, list, list, list]:
+def directed_arcs_reference(vertex_count: int, arcs) -> tuple[list, list, list]:
     """`DirectedNetwork`'s arc checks as first written, one arc at a time:
-    the kept tails, heads and capacities and the `DroppedArc` records, or
-    the `ValueError` naming the first bad arc."""
-    tails, heads, caps, dropped = [], [], [], []
+    the kept tails, heads and capacities, or the `ValueError` naming the
+    first bad arc."""
+    tails, heads, caps = [], [], []
     for i, (u, v, c) in enumerate(arcs):
         u, v, c = int(u), int(v), float(c)
         if not (0 <= u < vertex_count) or not (0 <= v < vertex_count):
             raise ValueError(f"arc {i}: vertex out of range")
         if not np.isfinite(c) or c < 0:
             raise ValueError(f"arc {i}: capacity must be finite and >= 0")
-        if u == v:
-            dropped.append(DroppedArc(i, u, v, c, ArcDropReason.SELF_LOOP))
-            continue
-        if c == 0.0:
-            dropped.append(DroppedArc(i, u, v, c, ArcDropReason.ZERO_CAPACITY))
+        if u == v or c == 0.0:
             continue
         tails.append(u)
         heads.append(v)
         caps.append(c)
-    return tails, heads, caps, dropped
+    return tails, heads, caps
 
 
 def bfs_reference(n: int, rows: np.ndarray, nbrs: np.ndarray, start: int):

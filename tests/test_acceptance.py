@@ -233,7 +233,8 @@ def test_c4_bounded_flow_solver_contract():
                     failures.append((seed, eps, frac, target, res.failure))
                     continue
                 flow = res.flow
-                assert abs(flow.value() - target) <= 1e-9 * target
+                assert abs(flow.source_outflow() - target) <= 1e-9 * target
+                assert flow.interior_residual_max() <= 1e-9 * target
                 bound = (1 + eps) * net.parent_capacity
                 assert (np.abs(flow.values) <= bound * (1 + 1e-9)).all()
     detail = (

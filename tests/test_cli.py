@@ -47,6 +47,17 @@ class TestSolve:
         stdout = json.loads(capsys.readouterr().out)
         assert stdout == report
 
+    @pytest.mark.parametrize("cap", ["1e160", "1e-13"])
+    def test_capacities_far_from_one(self, tmp_path, capsys, cap):
+        # Neither the oracle's squared capacities nor the exact solver's
+        # saturation test may depend on the capacities' scale.
+        path = tmp_path / "path.max"
+        path.write_text(f"p max 3 2\nn 1 s\nn 3 t\na 1 2 {cap}\na 2 3 {cap}\n")
+        assert main(["solve", "--input", str(path), "--epsilon", "0.25", "--exact-check"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["exact_value"] == float(cap)
+        assert report["ratio"] >= 0.75
+
     def test_bad_epsilon_is_usage_error(self, single_arc_file):
         assert main(["solve", "--input", single_arc_file, "--epsilon", "0.7"]) == 1
 
@@ -130,7 +141,7 @@ class TestGen:
         assert first == second
         net = parse_dimacs(first)
         assert net.vertex_count == 2 and net.edge_count == 1
-        assert net.arcs[0][:2] in ((0, 1), (1, 0))
+        assert (int(net.tails[0]), int(net.heads[0])) in ((0, 1), (1, 0))
 
     def test_zero_arcs_valid(self, capsys):
         assert main(["gen", "--n", "5", "--m", "0"]) == 0
@@ -287,6 +298,19 @@ class TestVerify:
     )
     def test_malformed_certificate_is_input_error(self, single_arc_file, tmp_path, text):
         assert self._verify_certificate(single_arc_file, tmp_path, text) == 2
+
+    def test_certificate_lists_the_kept_arcs(self, tmp_path, capsys):
+        # The self-loop is dropped, so the flows are those of the other two
+        # arcs, in file order.
+        path = tmp_path / "loop.max"
+        path.write_text("p max 3 3\nn 1 s\nn 3 t\na 1 2 1\na 2 2 4\na 2 3 1\n")
+        cert = tmp_path / "cert.json"
+        args = ["verify", "--input", str(path), "--epsilon", "0.5", "--certificate", str(cert)]
+        cert.write_text(json.dumps({"value": 1.0, "arc_flows": [1.0, 0.0, 1.0]}))
+        assert main(args) == 4
+        assert "leaving out self-loops and zero-capacity arcs" in capsys.readouterr().err
+        cert.write_text(json.dumps({"value": 1.0, "arc_flows": [1.0, 1.0]}))
+        assert main(args) == 0
 
     def test_corrupted_certificate_exits_4(self, single_arc_file, tmp_path):
         cert = tmp_path / "cert.json"

@@ -1,4 +1,7 @@
+import inspect
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +42,12 @@ def diamond():
     )
 
 
+def ldexp_network(G, shift):
+    """``G`` with every capacity multiplied by 2**shift, which is exact."""
+    arcs = np.stack([G.tails, G.heads, np.ldexp(G.capacities, shift)], axis=1)
+    return DirectedNetwork(G.vertex_count, arcs, G.source, G.sink)
+
+
 class TestExactMaxFlow:
     def test_single_arc(self):
         G = DirectedNetwork(2, [(0, 1, 5.0)], 0, 1)
@@ -54,7 +63,8 @@ class TestExactMaxFlow:
     def test_diamond(self):
         value, flow = exact_max_flow(diamond())
         assert value == 5.0
-        assert flow.value() == pytest.approx(5.0)
+        assert flow.source_outflow() == pytest.approx(5.0)
+        assert flow.interior_residual_max() <= 1e-9
         assert directed_min_cut(diamond()) == 5.0
 
     def test_witness_is_feasible(self):
@@ -63,7 +73,8 @@ class TestExactMaxFlow:
             value, flow = exact_max_flow(G)
             assert (flow.values >= -1e-12).all()
             assert (flow.values <= G.capacities + 1e-12).all()
-            assert flow.value() == pytest.approx(value, abs=1e-9)
+            assert flow.source_outflow() == pytest.approx(value, abs=1e-9)
+            assert flow.interior_residual_max() <= 1e-9 * max(1.0, value)
 
     def test_integral_instances_integral_values(self):
         for seed in range(20):
@@ -82,6 +93,15 @@ class TestExactMaxFlow:
             G = random_network(seed, n_max=5, m_max=8, cap_max=2)
             value, _ = exact_max_flow(G)
             assert value == brute_force_max_flow(G)
+
+    @pytest.mark.parametrize("seed", [0, 3, 7, 11])
+    def test_tiny_capacities_are_not_saturated(self, seed):
+        # The saturation threshold scales with the capacities, so scaling
+        # them by a power of two scales the value exactly.
+        G = nonempty_network(seed)
+        value, _ = exact_max_flow(G)
+        assert value > 0
+        assert exact_max_flow(ldexp_network(G, -60))[0] == np.ldexp(value, -60)
 
     def test_long_path(self):
         # An augmenting path longer than the interpreter's recursion limit.
@@ -120,7 +140,8 @@ class TestExactUndirected:
     def test_witness_conserves(self):
         net = symmetrize(nonempty_network(3), 0.25)
         value, flow = undirected_max_flow_witness(net)
-        assert flow.value() == pytest.approx(value, abs=1e-9)
+        assert flow.source_outflow() == pytest.approx(value, abs=1e-9)
+        assert flow.interior_residual_max() <= 1e-9 * max(1.0, value)
         assert (np.abs(flow.values) <= net.capacities + 1e-9).all()
 
 
@@ -496,6 +517,29 @@ class TestApproxMaxFlow:
         approx_max_flow(diamond(), 0.25, on_trace=lambda rec: None)
         assert traces[-1] is not None
 
+    def test_capacities_far_from_one(self):
+        # Squared capacities would overflow or underflow the resistances;
+        # the solve runs on capacities scaled by a power of two instead.
+        eps = 0.25
+        G = nonempty_network(3)
+        fstar, _ = exact_max_flow(G)
+        results = {}
+        for shift in (-600, 600):
+            big = ldexp_network(G, shift)
+            rec, report = approx_max_flow(big, eps, exact_check=True)
+            f = rec.directed_flow.values
+            assert (f >= 0).all() and (f <= big.capacities).all()
+            assert rec.directed_flow.interior_residual_max() <= 1e-9 * rec.value
+            assert rec.directed_flow.source_outflow() == pytest.approx(rec.value, rel=1e-9)
+            assert report.exact_value == np.ldexp(fstar, shift)
+            assert rec.value >= (1 - eps) * report.exact_value
+            assert report.upper_bound >= report.exact_value
+            results[shift] = rec
+        # Both solve the same scaled network, so they differ by 2**1200 exactly.
+        assert np.ldexp(results[-600].value, 1200) == results[600].value
+        low, high = results[-600].directed_flow.values, results[600].directed_flow.values
+        assert (np.ldexp(low, 1200) == high).all()
+
     def test_epsilon_budget_composition(self):
         # the internal split must leave (1-eps) of the optimum: a (1+eps')
         # recovery loss times the (1+eps'/2)(1+eps') search gap, eps' = eps/4
@@ -570,7 +614,6 @@ def test_package_surface():
         "RecoveryResult",
         "SolveReport",
         "SymmetrizedNetwork",
-        "ConservationError",
         "ConvergenceError",
         "DimacsParseError",
         "DisconnectedNetworkError",
@@ -578,5 +621,9 @@ def test_package_surface():
         "RepairError",
         "WidthViolationError",
     }
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     for name in emaxflow.__all__:
-        assert getattr(emaxflow, name).__module__.startswith("emaxflow.")
+        obj = getattr(emaxflow, name)
+        assert obj.__module__.startswith("emaxflow.")
+        if inspect.isfunction(obj):
+            assert re.search(rf"\b{name}\b", readme), f"README does not name {name}"

@@ -248,7 +248,8 @@ class TestSolveBoundedFlow:
         res = solve_bounded_flow(net, 3.5)
         assert res.succeeded
         f = res.flow
-        assert f.value() == pytest.approx(3.5, rel=1e-9)
+        assert f.source_outflow() == pytest.approx(3.5, rel=1e-9)
+        assert f.interior_residual_max() <= 1e-9 * 3.5
         assert (np.abs(f.values) <= 1.5 * (1 + 1e-9)).all()
 
     def test_far_above_capacity_fails(self):
@@ -287,7 +288,8 @@ class TestSolveBoundedFlow:
             target = 2 * 0.5 * fstar + (1 + eps) * G.total_capacity()
             res = solve_bounded_flow(net, target)
             assert res.succeeded
-            assert abs(res.flow.value() - target) <= 1e-9 * target
+            assert abs(res.flow.source_outflow() - target) <= 1e-9 * target
+            assert res.flow.interior_residual_max() <= 1e-9 * target
             bound = (1 + eps) * net.parent_capacity
             assert (np.abs(res.flow.values) <= bound * (1 + 1e-9)).all()
 
@@ -320,7 +322,7 @@ class TestSolveBoundedFlow:
         assert res.succeeded
         assert check_bounded_flow(net, res.flow.values, target)
 
-    def test_resume_continues_the_same_run(self):
+    def test_resume_continues_the_same_run(self, monkeypatch):
         # An exhausted budget certifies nothing, and advancing again picks
         # up the same trajectory a single run with twice the budget takes.
         G = random_sized_network(1018, 21, 49)
@@ -329,17 +331,15 @@ class TestSolveBoundedFlow:
         target = 2 * 2.788 + (1 + eps) * G.total_capacity()
         resumed, whole = [], []
         # The run verifies after 28 calls, so two budgets of 10 run out.
-        run = bounded_flow_attempts(
-            net, target, max_iterations=5, trace=lambda i, d: resumed.append(d.energy)
-        )
+        monkeypatch.setattr(mwu, "DEFAULT_ITERATION_CAP", 5)
+        run = bounded_flow_attempts(net, target, trace=lambda i, d: resumed.append(d.energy))
         first = next(run)
         assert first.failure == "iteration-budget" and first.iterations == 10
         assert not first.certified_infeasible
         second = next(run)
         assert second.failure == "iteration-budget" and second.iterations == 20
-        once = solve_bounded_flow(
-            net, target, max_iterations=10, trace=lambda i, d: whole.append(d.energy)
-        )
+        monkeypatch.setattr(mwu, "DEFAULT_ITERATION_CAP", 10)
+        once = solve_bounded_flow(net, target, trace=lambda i, d: whole.append(d.energy))
         assert once.iterations == 20
         assert resumed == whole
 
@@ -485,10 +485,11 @@ class TestStartWeights:
         )
         start = 10.0 ** np.array(exps)
         calls = []
-        run = bounded_flow_attempts(
-            net, target, max_iterations=25, trace=lambda i, d: calls.append(d), weights=start
-        )
-        for result in itertools.islice(run, 2):  # one resume, as the driver does
+        run = bounded_flow_attempts(net, target, trace=lambda i, d: calls.append(d), weights=start)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mwu, "DEFAULT_ITERATION_CAP", 25)
+            results = list(itertools.islice(run, 2))  # one resume, as the driver does
+        for result in results:
             if result.failure == "oracle-energy":
                 assert target > maxval
             if result.succeeded:
@@ -509,18 +510,15 @@ class TestStartWeights:
         assert results[-1].iterations <= 400
         assert next(bounded_flow_attempts(net, 3.4)).iterations == 1
 
-    def test_unit_start_is_the_default(self):
+    def test_unit_start_is_the_default(self, monkeypatch):
         net = symmetrize(random_sized_network(1016, 21, 49), 0.025)
         target = 2 * 2.788 + (1 + 0.025) * net.arc_capacities.sum()
         default, given_ones = [], []
+        monkeypatch.setattr(mwu, "DEFAULT_ITERATION_CAP", 10)
+        next(bounded_flow_attempts(net, target, trace=lambda i, d: default.append(d)))
         next(
             bounded_flow_attempts(
-                net, target, max_iterations=10, trace=lambda i, d: default.append(d)
-            )
-        )
-        next(
-            bounded_flow_attempts(
-                net, target, max_iterations=10, trace=lambda i, d: given_ones.append(d),
+                net, target, trace=lambda i, d: given_ones.append(d),
                 weights=np.ones(net.edge_count),
             )
         )
@@ -538,8 +536,8 @@ class TestStartWeights:
             next(bounded_flow_attempts(net, 3.5, weights=start))
 
     def test_stale_positional_epsilon_fails(self):
-        # The network carries epsilon; a leftover positional eps must not
-        # bind to the iteration cap.
+        # The network carries epsilon, and every option is keyword-only, so
+        # a leftover positional eps is an error.
         net = single_arc_net()
         with pytest.raises(TypeError):
             solve_bounded_flow(net, 3.5, 0.5)
@@ -562,12 +560,9 @@ class TestTraceScale:
             return result, cong, diag
 
         monkeypatch.setattr(mwu, "oracle_step", spy)
+        monkeypatch.setattr(mwu, "DEFAULT_ITERATION_CAP", 10)
         records = []
-        result = next(
-            bounded_flow_attempts(
-                net, target, max_iterations=10, trace=lambda i, d: records.append(d)
-            )
-        )
+        result = next(bounded_flow_attempts(net, target, trace=lambda i, d: records.append(d)))
         assert len(records) == len(measured) >= 3
         # Replay the run's weights without renormalizing them.
         true_w = np.ones(net.edge_count)
@@ -595,16 +590,17 @@ class TestTraceScale:
         assert failed == (result.failure == "oracle-energy")
 
 
-    def test_scale_past_the_float_range(self):
+    def test_scale_past_the_float_range(self, monkeypatch):
         # Start weights near the largest float: the run's true weights soon
         # pass it, and the records read inf there rather than the trace
         # raising OverflowError, and `_trace_line` clamps them.
         net = symmetrize(random_sized_network(1016, 21, 49), 0.025)
         target = 2 * 2.788 + (1 + 0.025) * net.arc_capacities.sum()
         records = []
+        monkeypatch.setattr(mwu, "DEFAULT_ITERATION_CAP", 10)
         next(
             bounded_flow_attempts(
-                net, target, max_iterations=10, weights=np.full(net.edge_count, 1e305),
+                net, target, weights=np.full(net.edge_count, 1e305),
                 trace=lambda i, d: records.append(d),
             )
         )
@@ -660,7 +656,8 @@ class TestWorkingTolerance:
 
         monkeypatch.setattr(mwu, "oracle_step", spy)
         monkeypatch.setattr(mwu, "REPAIR_SHARE", share)
-        next(bounded_flow_attempts(net, target, max_iterations=10))
+        monkeypatch.setattr(mwu, "DEFAULT_ITERATION_CAP", 10)
+        next(bounded_flow_attempts(net, target))
         strict = mwu.default_solve_tolerance(net.epsilon, net.edge_count)
         tol, expected = mwu.WORKING_TOLERANCE, []
         for _ in tolerances:

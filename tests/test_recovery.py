@@ -89,15 +89,15 @@ class TestSubtractAndHalve:
     def test_worked_single_arc(self):
         _, net = single_arc()
         f = FlowAssignment(net, [1.0, 1.25, 1.25])
-        assert f.value() == pytest.approx(3.5)
+        assert f.source_outflow() == pytest.approx(3.5)
         h = subtract_and_halve(f)
         assert h.values == pytest.approx([1.25, -0.125, -0.125], abs=1e-12)
-        assert h.value() == pytest.approx(1.0, abs=1e-12)
+        assert h.source_outflow() == pytest.approx(1.0, abs=1e-12)
 
     def test_pure_link_routing_cancels_to_zero(self):
         _, net = single_arc()
         f = FlowAssignment(net, link_routing_values(net))
-        assert f.value() == pytest.approx(1.5)  # (1+eps) * total capacity
+        assert f.source_outflow() == pytest.approx(1.5)  # (1+eps) * total capacity
         h = subtract_and_halve(f)
         assert h.values == pytest.approx([0.0, 0.0, 0.0], abs=1e-15)
 
@@ -129,7 +129,8 @@ class TestSubtractAndHalve:
             assert (h.values[orig] <= bound[orig] + tol[orig]).all()
             assert (h.values[~orig] <= tol[~orig]).all()
             assert (h.values[~orig] >= -bound[~orig] - tol[~orig]).all()
-            assert h.value() == pytest.approx(0.5 * fstar, rel=1e-8)
+            assert h.source_outflow() == pytest.approx(0.5 * fstar, rel=1e-8)
+            assert h.interior_residual_max() <= 1e-8 * fstar
 
 
 class TestCycleCancel:
@@ -144,7 +145,8 @@ class TestCycleCancel:
         f = FlowAssignment(G, [1.0, 1.0, 1.0])
         out = cycle_cancel(f)
         # 0->1->2 carries s-t value 1; the 2->0 arc closes a cycle of 1
-        assert out.value() == pytest.approx(f.value())
+        assert out.source_outflow() == pytest.approx(f.source_outflow())
+        assert out.interior_residual_max() == 0.0
         assert out.values[2] == pytest.approx(0.0)
 
     def test_worked_single_arc_chain(self):
@@ -152,7 +154,8 @@ class TestCycleCancel:
         f = FlowAssignment(net, [1.25, -0.125, -0.125])
         out = cycle_cancel(f)
         assert out.values == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
-        assert out.value() == pytest.approx(1.0, abs=1e-12)
+        assert out.source_outflow() == pytest.approx(1.0, abs=1e-12)
+        assert out.interior_residual_max() <= 1e-12
 
     def test_self_loop_zeroed(self):
         G = DirectedNetwork(3, [(0, 1, 1), (1, 2, 1)], 0, 2)
@@ -352,7 +355,7 @@ class TestTruncatePaths:
         vals[3 * 5 + 2] = -1.0
         f = FlowAssignment(net, vals)
         assert f.interior_residual_max() == 0.0
-        assert f.value() == 2.0
+        assert f.source_outflow() == 2.0
         rec = extract_directed(f, G)
         assert rec.value == 2.0
         assert not rec.scaled
@@ -494,7 +497,8 @@ class TestEndToEnd:
             vals[orig] += 2.0 * witness.values
             f = FlowAssignment(net, vals)
             target = 2 * fstar + (1 + eps) * G.total_capacity()
-            assert f.value() == pytest.approx(target, rel=1e-12)
+            assert f.source_outflow() == pytest.approx(target, rel=1e-12)
+            assert f.interior_residual_max() <= 1e-12 * target
             rec = recover_directed_flow(f, G)
             assert rec.value >= fstar / (1 + eps) - 1e-9
             assert (rec.directed_flow.values >= 0).all()
