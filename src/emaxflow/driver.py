@@ -41,25 +41,26 @@ _MAX_PROBES = 64
 
 
 class _Dinic:
-    """Blocking-flow max flow on an adjacency list with residual edges; a
-    residual of at most ``tiny`` counts as saturated."""
+    """Blocking-flow max flow on an adjacency list with residual edges; an
+    arc's two edges count as saturated at a residual of at most ``tiny``."""
 
     class _Edge:
-        __slots__ = ("to", "rev", "cap")
+        __slots__ = ("to", "rev", "cap", "tiny")
 
-        def __init__(self, to: int, rev: int, cap: float):
+        def __init__(self, to: int, rev: int, cap: float, tiny: float):
             self.to = to
             self.rev = rev
             self.cap = cap
+            self.tiny = tiny
 
-    def __init__(self, n: int, tiny: float):
+    def __init__(self, n: int):
         self.n = n
-        self.tiny = tiny
         self.g: list[list[_Dinic._Edge]] = [[] for _ in range(n)]
 
     def add_edge(self, u: int, v: int, cap: float) -> tuple[int, int]:
-        fwd = _Dinic._Edge(v, len(self.g[v]), cap)
-        bwd = _Dinic._Edge(u, len(self.g[u]), 0.0)
+        tiny = 1e-12 * min(cap, 1.0)
+        fwd = _Dinic._Edge(v, len(self.g[v]), cap, tiny)
+        bwd = _Dinic._Edge(u, len(self.g[u]), 0.0, tiny)
         self.g[u].append(fwd)
         self.g[v].append(bwd)
         return u, len(self.g[u]) - 1
@@ -69,11 +70,10 @@ class _Dinic:
             level[i] = -1
         level[s] = 0
         q = deque([s])
-        tiny = self.tiny
         while q:
             u = q.popleft()
             for e in self.g[u]:
-                if e.cap > tiny and level[e.to] < 0:
+                if e.cap > e.tiny and level[e.to] < 0:
                     level[e.to] = level[u] + 1
                     q.append(e.to)
         return level[t] >= 0
@@ -88,12 +88,11 @@ class _Dinic:
         path: list[_Dinic._Edge] = []
         verts = [s]
         u = s
-        tiny = self.tiny
         while u != t:
             adj = self.g[u]
             while it[u] < len(adj):
                 e = adj[it[u]]
-                if e.cap > tiny and level[e.to] == level[u] + 1:
+                if e.cap > e.tiny and level[e.to] == level[u] + 1:
                     break
                 it[u] += 1
             else:
@@ -127,8 +126,9 @@ class _Dinic:
 
 def exact_max_flow(network: DirectedNetwork) -> tuple[float, FlowAssignment]:
     """Exact max flow value and a witness flow (blocking-flow algorithm).
-    A residual of at most 1e-12 times the largest capacity is saturated."""
-    dinic = _Dinic(network.vertex_count, 1e-12 * float(network.capacities.max(initial=0.0)))
+    An arc is saturated at a residual of at most 1e-12 times its own
+    capacity, capped at 1e-12, so integer capacities give exact values."""
+    dinic = _Dinic(network.vertex_count)
     handles = []
     for u, v, c in zip(network.tails, network.heads, network.capacities):
         handles.append(dinic.add_edge(int(u), int(v), float(c)))
@@ -317,10 +317,10 @@ def approx_max_flow(
     t0 = time.perf_counter()
     eps_i = epsilon / 4.0
 
-    big = float(network.capacities.max(initial=0.0))
+    useful = _useful_arcs(network)
+    big = float(network.capacities[useful].max(initial=0.0))
     shift = math.frexp(big)[1] - 1 if big and not 2.0**-64 <= big <= 2.0**64 else 0
     caps = np.ldexp(network.capacities, -shift) if shift else network.capacities
-    useful = _useful_arcs(network)
     pruned = DirectedNetwork(
         network.vertex_count,
         np.stack([network.tails[useful], network.heads[useful], caps[useful]], axis=1),

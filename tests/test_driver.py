@@ -96,12 +96,24 @@ class TestExactMaxFlow:
 
     @pytest.mark.parametrize("seed", [0, 3, 7, 11])
     def test_tiny_capacities_are_not_saturated(self, seed):
-        # The saturation threshold scales with the capacities, so scaling
-        # them by a power of two scales the value exactly.
+        # Below 1 an arc's saturation threshold is relative to its own
+        # capacity, so scaling these capacities down by 2**60 scales the value
+        # exactly instead of reading every arc as saturated.
         G = nonempty_network(seed)
         value, _ = exact_max_flow(G)
         assert value > 0
         assert exact_max_flow(ldexp_network(G, -60))[0] == np.ldexp(value, -60)
+
+    def test_large_dead_end_arc_does_not_saturate_others(self):
+        # The threshold follows each arc's own capacity, not the largest one.
+        G = DirectedNetwork(3, [(0, 1, 1.0), (0, 2, 1e13)], 0, 1)
+        assert exact_max_flow(G)[0] == 1.0
+
+    def test_large_integer_capacities_are_exact(self):
+        # A residual of 1 left on an arc of 1e13 still carries flow.
+        arcs = [(0, 1, 1e13), (1, 3, 1e13 - 1), (1, 2, 1.0), (2, 3, 1.0)]
+        G = DirectedNetwork(4, arcs, 0, 3)
+        assert exact_max_flow(G)[0] == 1e13
 
     def test_long_path(self):
         # An augmenting path longer than the interpreter's recursion limit.
@@ -539,6 +551,15 @@ class TestApproxMaxFlow:
         assert np.ldexp(results[-600].value, 1200) == results[600].value
         low, high = results[-600].directed_flow.values, results[600].directed_flow.values
         assert (np.ldexp(low, 1200) == high).all()
+
+    def test_huge_dead_end_arc_leaves_the_scale_alone(self):
+        # The scaling shift comes from the arcs the solve keeps, so a pruned
+        # arc of 1e160 does not push a unit path down to 1e-160.
+        G = DirectedNetwork(4, [(0, 1, 1.0), (1, 2, 1.0), (0, 3, 1e160)], 0, 2)
+        rec, report = approx_max_flow(G, 0.25, exact_check=True)
+        assert report.exact_value == 1.0
+        assert rec.value >= 0.75
+        assert rec.directed_flow.values[2] == 0.0
 
     def test_epsilon_budget_composition(self):
         # the internal split must leave (1-eps) of the optimum: a (1+eps')
