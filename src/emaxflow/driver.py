@@ -4,9 +4,12 @@
 solver on the symmetrized network for value 2F + (1+eps')*total capacity and
 recovering a feasible directed flow from each success.  Before the search
 one oracle call at unit weights gives potentials whose best threshold cut,
-with the source and sink cuts, bounds F* from above.  The search keeps the
-best recovered flow and one top, which starts at that bound, and stops when
-the top is within a relative gap of the best value.  Every probe goes to
+with the source and sink cuts, bounds F* from above.  That call prices the
+first probe's target, so where the cut does not lower the top the first
+probe takes it as its first oracle call; only where the cut lowers the top
+is it an extra call.  The search keeps the best recovered flow and one
+top, which starts at that bound, and stops when the top is within a
+relative gap of the best value.  Every probe goes to
 the oracle, and every probe that gives no flow becomes the new top: one
 certified infeasible by an energy failure, one still unknown after its
 oracle budget is resumed once from its own state, and one whose flow
@@ -169,8 +172,10 @@ class SolveReport:
     """Summary of one approximate solve, serializable with stable keys.
 
     ``oracle_calls`` and ``mwu_iterations_total`` both count the probes'
-    oracle calls; the unit-weight call before the search that sets
-    ``upper_bound`` is not among them.
+    oracle calls.  The unit-weight call before the search that sets
+    ``upper_bound`` is the first probe's first call, and counted as such,
+    when its cut leaves the top at the source/sink cut; only when the cut
+    lowers the top is it an extra call that neither counts.
     """
 
     instance: str
@@ -344,10 +349,15 @@ def approx_max_flow(
         baseline = (1.0 + eps_i) * pruned.total_capacity()
         # Unit weights and the target of a first probe under the source/sink
         # cut: where the threshold cut does not lower the top, this is the
-        # very solve the first probe's first oracle call makes.
+        # very call the first probe would make first, so the probe takes it
+        # as its first call; where the cut lowers the top, it is an extra
+        # call that no count includes.
         target = 2.0 * (0.75 * top) + baseline
-        phi = oracle_step(net, np.ones(net.edge_count), target)[0].potentials
-        top = upper = min(top, _threshold_cut(pruned, phi))
+        first = oracle_step(net, np.ones(net.edge_count), target)
+        cut = _threshold_cut(pruned, first[0].potentials)
+        if cut < top:
+            top, first = cut, None
+        upper = top
         # Recovery returns at least probe/(1+eps'), so the certified lower
         # bound trails the bracket top by that factor even at convergence;
         # the termination gap accounts for it, and a probe that fails to
@@ -370,7 +380,9 @@ def approx_max_flow(
                     lambda i, d, p=probes: on_trace(_trace_line(p, i, d))
                 ),
                 weights=warm,
+                first=first,
             )
+            first = None
             result = next(attempts)
             if not (result.succeeded or result.certified_infeasible):
                 # An exhausted budget proves nothing: resume the same run

@@ -374,6 +374,7 @@ def bounded_flow_attempts(
     *,
     trace: TraceCallback | None = None,
     weights: np.ndarray | None = None,
+    first: tuple[ElectricalSolveResult, np.ndarray, OracleDiagnostics] | None = None,
 ) -> Iterator[BoundedFlowResult]:
     """The run behind `solve_bounded_flow`, one result per budget.
 
@@ -391,6 +392,11 @@ def bounded_flow_attempts(
 
     Each call's candidate comes from `_segment_candidate`, and only a
     candidate that `check_bounded_flow` accepts is returned.
+
+    ``first``, when given, is taken as the run's first oracle call, which
+    is then not made again: it must be what `oracle_step` returns for
+    these start weights and ``target_value``.  It is counted, traced and
+    reweighted like any other call.
 
     The working tolerance starts at `WORKING_TOLERANCE`, and each call whose
     working solve needed a repair over `REPAIR_SHARE` times eps' of an
@@ -426,11 +432,14 @@ def bounded_flow_attempts(
             yield BoundedFlowResult(None, i, "iteration-budget", weights)
             allowed += 2 * budget
         i += 1
-        try:
-            result, cong, diag = oracle_step(net, weights, target_value, phi_prev, tol)
-        except DisconnectedNetworkError:
-            yield BoundedFlowResult(None, i, "disconnected", weights)
-            return
+        if first is not None:
+            (result, cong, diag), first = first, None
+        else:
+            try:
+                result, cong, diag = oracle_step(net, weights, target_value, phi_prev, tol)
+            except DisconnectedNetworkError:
+                yield BoundedFlowResult(None, i, "disconnected", weights)
+                return
         if trace is not None:
             try:
                 scale = math.exp(log_scale)

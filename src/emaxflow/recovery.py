@@ -233,25 +233,30 @@ def _path_flows(
         k = adj[i]
         w = heads[k]
         path.append(k)
+        # For finite floats x - c is 0.0 exactly when x == c, so the first
+        # arc to empty is the first that holds the bottleneck.
         if w == t:
-            start = 0
-            c = min([x[e] for e in path])
+            xs = [x[e] for e in path]
+            c = min(xs)
             push = min(c, min([free[e] for e in path]))
-            for e in path:
-                x[e] -= c
+            for e, xe in zip(path, xs):
+                x[e] = xe - c
                 p[e] += c
                 y[e] += push
                 free[e] -= push
+            cut = xs.index(c)
         elif pos[w] < 0:
             pos[w] = len(path)
             u = w
             continue
         else:
             start = pos[w]
-            c = min([x[e] for e in path[start:]])
-            for e in path[start:]:
-                x[e] -= c
-        cut = next(j for j in range(start, len(path)) if x[path[j]] == 0.0)
+            cycle = path[start:]
+            xs = [x[e] for e in cycle]
+            c = min(xs)
+            for e, xe in zip(cycle, xs):
+                x[e] = xe - c
+            cut = start + xs.index(c)
         for e in path[cut:-1]:
             pos[heads[e]] = -1
         u = tails[path[cut]]

@@ -9,7 +9,9 @@ match bit for bit.  The other ``*_reference`` functions keep
 the library's first, plain versions of cycle cancelling, the repair tree's
 BFS, tree repair, dense and sparse Laplacian assembly and the
 conjugate-gradient loop; the library's faster versions must return the
-same bits.  `scaled_recovery_reference` keeps the first arc-flow
+same bits.  `path_flows_reference` keeps recovery's path walk as it was
+before each path and cycle took one pass; the library's walk must return
+its bits.  `scaled_recovery_reference` keeps the first arc-flow
 extraction, which only scaled; the library's recovery must never be worth
 less.
 """
@@ -377,6 +379,92 @@ def scaled_recovery_reference(
     if ratio > 1.0:
         arc_vals /= ratio
     return FlowAssignment(network, np.clip(arc_vals, 0.0, network.capacities))
+
+
+def path_flows_reference(
+    arc_vals: np.ndarray, network: DirectedNetwork
+) -> tuple[np.ndarray, np.ndarray]:
+    """`recovery._path_flows` as it was before each path and cycle took one
+    pass, kept verbatim.  It decomposes a nonnegative arc flow into s-t
+    paths: the path flow, and the flow that pushes each path only up to
+    the capacity the earlier paths left free.
+
+    A depth-first walk from the source scans each vertex's positive
+    out-arcs fullest first (ties in index order), so the paths it finds
+    do not depend on how the arcs are numbered.  An arc back onto the
+    current path closes a cycle, and the cycle's bottleneck is subtracted
+    around it.  At the sink, the path's bottleneck is taken out of the flow
+    and added to the path flow, and the smaller of the bottleneck and the
+    path's free capacity is pushed.  After either, the walk retreats to
+    the tail of the first arc that emptied.  A vertex whose out-arcs are
+    empty is a dead end: the arc into it is emptied and the walk steps
+    back one vertex.
+
+    Cancelling a cycle or taking out a path leaves every interior vertex's
+    imbalance as it was, so a dead end's arc inflow is at most what its
+    links return to the source, and the path flow is worth at least the
+    input's value.  Arc flows only shrink and an empty arc stays empty, so
+    each vertex's scan pointer persists, and the walk costs O(m log m)
+    for the order plus O(m + total length of the paths and cycles).
+    """
+    s, t = network.source, network.sink
+    tails = network.tails.tolist()
+    heads = network.heads.tolist()
+    x = arc_vals.tolist()
+    free = network.capacities.tolist()
+    out: list[list[int]] = [[] for _ in range(network.vertex_count)]
+    for k in sorted(range(len(x)), key=x.__getitem__, reverse=True):
+        if x[k] > 0.0:
+            out[tails[k]].append(k)
+    ptr = [0] * network.vertex_count
+    # pos[v] is the place on the path of the arc out of v; -1 off the path.
+    pos = [-1] * network.vertex_count
+    pos[s] = 0
+    p = [0.0] * len(x)
+    y = [0.0] * len(x)
+    path: list[int] = []
+    u = s
+    while True:
+        adj = out[u]
+        i = ptr[u]
+        while i < len(adj) and x[adj[i]] == 0.0:
+            i += 1
+        ptr[u] = i
+        if i == len(adj):
+            if not path:
+                break
+            k = path.pop()
+            x[k] = 0.0
+            pos[u] = -1
+            u = tails[k]
+            continue
+        k = adj[i]
+        w = heads[k]
+        path.append(k)
+        if w == t:
+            start = 0
+            c = min([x[e] for e in path])
+            push = min(c, min([free[e] for e in path]))
+            for e in path:
+                x[e] -= c
+                p[e] += c
+                y[e] += push
+                free[e] -= push
+        elif pos[w] < 0:
+            pos[w] = len(path)
+            u = w
+            continue
+        else:
+            start = pos[w]
+            c = min([x[e] for e in path[start:]])
+            for e in path[start:]:
+                x[e] -= c
+        cut = next(j for j in range(start, len(path)) if x[path[j]] == 0.0)
+        for e in path[cut:-1]:
+            pos[heads[e]] = -1
+        u = tails[path[cut]]
+        del path[cut:]
+    return np.array(p), np.array(y)
 
 
 def spanning_tree_reference(

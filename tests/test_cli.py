@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from emaxflow import DirectedNetwork, cli, parse_dimacs
+from emaxflow import DirectedNetwork, approx_max_flow, cli, parse_dimacs
 from emaxflow.cli import main
 from emaxflow.network import write_dimacs
 
@@ -327,6 +327,22 @@ class TestVerify:
             ]
         )
         assert code == 4
+
+    def test_tiny_capacities_hold_the_certificate_to_scale(self, tmp_path, capsys):
+        # A million times the capacity on each arc is no small excess; the
+        # solver's own flow on the same path still verifies.
+        path = tmp_path / "path.max"
+        path.write_text("p max 3 2\nn 1 s\nn 3 t\na 1 2 1e-13\na 2 3 1e-13\n")
+        cert = tmp_path / "cert.json"
+        args = ["verify", "--input", str(path), "--epsilon", "0.25", "--certificate", str(cert)]
+        cert.write_text(json.dumps({"value": 1e-7, "arc_flows": [1e-7, 1e-7]}))
+        assert main(args) == 4
+        assert "exceeds capacity on arc 0" in capsys.readouterr().err
+        result, _ = approx_max_flow(parse_dimacs(path.read_text()), 0.25)
+        flows = result.directed_flow.values.tolist()
+        cert.write_text(json.dumps({"value": result.value, "arc_flows": flows}))
+        assert main(args) == 0
+        assert "certificate: valid" in capsys.readouterr().out
 
 
 GUARD = """

@@ -515,6 +515,36 @@ class TestApproxMaxFlow:
             records[0].keys()
         )
 
+    @pytest.mark.parametrize(
+        "G, extra",
+        [
+            # The threshold cut leaves the top at the source/sink cut, so
+            # the first probe takes the pre-search call as its first.
+            (DirectedNetwork(2, [(0, 1, 1.0)], 0, 1), 0),
+            (diamond(), 0),
+            # The cut lowers the top from 300 to 135: the pre-search call
+            # priced another target, and the first probe does not take it.
+            (grid_network(3, 3, 3), 1),
+        ],
+        ids=["single-arc", "diamond", "grid-3x3"],
+    )
+    def test_oracle_steps_match_oracle_calls(self, monkeypatch, G, extra):
+        steps = []
+        for module in (emaxflow.driver, emaxflow.mwu):
+            step = module.oracle_step
+
+            def spy(*args, step=step, **kwargs):
+                steps.append(None)
+                return step(*args, **kwargs)
+
+            monkeypatch.setattr(module, "oracle_step", spy)
+        records = []
+        _, report = approx_max_flow(G, 0.25, on_trace=records.append)
+        top = min(G.out_capacity(G.source), G.in_capacity(G.sink))
+        assert (report.upper_bound < top) == bool(extra)
+        assert len(steps) == report.oracle_calls + extra
+        assert len(records) == report.oracle_calls
+
     def test_no_trace_without_a_callback(self, monkeypatch):
         traces = []
         attempts = emaxflow.driver.bounded_flow_attempts

@@ -32,13 +32,11 @@ class TestParseDimacs:
         net = parse_dimacs(io.StringIO(SMALLEST))
         assert net.edge_count == 1
 
-    def test_self_loop_dropped_with_record(self):
-        # The arc is dropped; no record of it is kept.
+    def test_self_loop_dropped(self):
         net = parse_dimacs("p max 2 1\nn 1 s\nn 2 t\na 1 1 3\n")
         assert net.edge_count == 0
 
-    def test_zero_capacity_dropped_with_record(self):
-        # The arc is dropped; no record of it is kept.
+    def test_zero_capacity_dropped(self):
         net = parse_dimacs("p max 2 2\nn 1 s\nn 2 t\na 1 2 0\na 1 2 4\n")
         assert net.edge_count == 1
         assert net.capacities.tolist() == [4.0]
@@ -161,9 +159,7 @@ class TestSymmetrize:
         assert w_edges.sum() == 3 * w_arcs.sum()
 
 
-class TestFlowValue:
-    """The length check of the FlowAssignment constructor."""
-
+class TestFlowAssignment:
     def test_wrong_length_rejected(self):
         G = DirectedNetwork(2, [(0, 1, 1.0)], 0, 1)
         with pytest.raises(ValueError):

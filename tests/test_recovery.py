@@ -13,6 +13,7 @@ from emaxflow import (
 )
 from emaxflow.network import Provenance
 from emaxflow.recovery import (
+    _path_flows,
     cycle_cancel,
     extract_directed,
     link_routing_values,
@@ -23,6 +24,7 @@ from corpus import nonempty_network
 from oracles import (
     cycle_cancel_reference,
     is_acyclic_support,
+    path_flows_reference,
     random_conserving_flow,
     scaled_recovery_reference,
 )
@@ -403,6 +405,35 @@ class TestTruncatePaths:
         assert (out >= 0).all() and (out <= G.capacities).all()
         F = g * (mix * fstar + (1.0 - mix) * fh)
         assert rec.directed_flow.interior_residual_max() <= 1e-9 * max(1.0, F)
+
+
+@st.composite
+def walk_inputs(draw):
+    """A small digraph with parallel arcs, arcs into the source and out of
+    the sink, and nonnegative arc flows drawn partly from a few values, so
+    that paths and cycles often hold their bottleneck on several arcs."""
+    n = draw(st.integers(2, 7))
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    pairs = draw(st.lists(ends, max_size=24))
+    few = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+    value = few | st.floats(0.0, 4.0)
+    cap = few.filter(bool) | st.floats(1e-3, 4.0)
+    arcs = [(u, v, draw(cap)) for u, v in pairs]
+    G = DirectedNetwork(n, arcs, 0, n - 1)
+    return np.array([draw(value) for _ in pairs]), G
+
+
+class TestPathWalkMatchesReference:
+    """The walk takes each path and cycle in one pass and cuts at the first
+    arc that holds the bottleneck; the reference tests every arc for zero
+    after the subtraction.  They must agree bit for bit, ties included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(walk_inputs())
+    def test_bit_identical(self, case):
+        arc_vals, G = case
+        for out, ref in zip(_path_flows(arc_vals, G), path_flows_reference(arc_vals, G)):
+            assert out.tobytes() == ref.tobytes()
 
 
 class TestCyclesAndLinks:
