@@ -14,10 +14,11 @@ lower bound on the least energy whatever the residual
 without solving accurately.
 
 Everything that depends only on the network is built once per network and
-reused by every call: the component, the Laplacian's assembly slots, one
-`_SparseLaplacian` whose entries each sparse call replaces, and the
-spanning tree's levels, along which the repair pushes one vectorized step
-per depth.
+reused by every call: the component; for a small component the flat index
+each Laplacian term sums into, and for a large one the vertex pair each
+edge joins, so that parallel edges merge into one conductance per pair;
+and the spanning tree's levels, along which the repair pushes one
+vectorized step per depth.
 The per-call work is the same floating-point operations as the plain loops
 kept in the tests, so the results are the same bits.
 """
@@ -49,10 +50,12 @@ def _pcg(
 ) -> tuple[np.ndarray, int, float]:
     """Jacobi-preconditioned CG, iterates projected against the constant vector.
 
-    Each step does its vector updates in place through reused buffers; the
-    floating-point operations, and so the bits, are those of the plain
-    expressions ``x += alpha * p``, ``r -= r.mean()``, ``np.linalg.norm(r)``
-    and ``p = z + beta * p``.
+    ``A`` is the s-t Laplacian of `_StSolveContext.laplacian`, a dense
+    array or a `_SparseLaplacian`; only ``A @ x`` and ``A.diagonal()`` are
+    used.  Each step does its vector updates in place through reused
+    buffers; the floating-point operations, and so the bits, are those of
+    the plain expressions ``x += alpha * p``, ``r -= r.mean()``,
+    ``np.linalg.norm(r)`` and ``p = z + beta * p``.
     """
     n = len(b)
     max_iter = 100 * n + 2000
@@ -163,46 +166,44 @@ class ElectricalSolveResult:
     repair_share: float
 
 
-# Component sizes up to this use a dense Laplacian; beyond it a fixed
-# sparse pattern.
+# Component sizes up to this use a dense Laplacian; beyond it the merged
+# pairs of `_SparseLaplacian`.
 _DENSE_LIMIT = 600
 
 
 class _SparseLaplacian:
-    """A square matrix stored as its pattern's entries in row-major order:
-    ``rows``, ``cols`` and ``data``.  `_StSolveContext.laplacian` replaces
-    ``data`` on every call and keeps the pattern.
+    """The Laplacian of a graph on ``n`` vertices whose edge ``k`` joins
+    ``a[k] < b[k]`` with conductance ``g[k]``, each vertex pair once.
 
-    ``A @ x`` sums each row's terms ``data * x[col]`` in column order,
-    starting from 0.0, as a CSR matrix-vector product does, and so gives
-    its bits.  Every diagonal entry is in the pattern.
+    ``A @ x`` takes each edge's current ``g * (x[a] - x[b])`` first and
+    then sums them into both ends, so a row never cancels its large
+    diagonal term against its neighbours'.  ``A.diagonal()`` sums each
+    vertex's conductances.  Both sum in edge order, starting from 0.0.
     """
 
-    def __init__(self, keys: np.ndarray, n: int):
-        self.n = n
-        self.rows = keys // n
-        self.cols = keys - self.rows * n
-        self.diag = np.flatnonzero(self.rows == self.cols)
-        self.data = np.zeros(len(keys))
+    def __init__(self, a: np.ndarray, b: np.ndarray, g: np.ndarray, n: int):
+        self.a, self.b, self.g, self.n = a, b, g, n
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return np.bincount(self.rows, self.data * x[self.cols], self.n)
+        d = self.g * (x[self.a] - x[self.b])
+        return np.bincount(self.a, d, self.n) - np.bincount(self.b, d, self.n)
 
     def diagonal(self) -> np.ndarray:
-        return self.data[self.diag]
+        return np.bincount(self.a, self.g, self.n) + np.bincount(self.b, self.g, self.n)
 
 
 class _StSolveContext:
     """Cached s-t component restriction, Laplacian and tree-repair plan.
 
     The support graph of a `SymmetrizedNetwork` never changes (resistances
-    are always strictly positive), so the component, the scatter pattern
-    and the levels of the spanning tree can be built once and reused
-    across every oracle call.  The component is the vertex set of the BFS
-    tree that `_repair_values` routes along.  Both Laplacian paths assemble
-    with one `np.bincount` into precomputed slots: a flat dense index, or
-    the pattern entry each term sums into.  The sparse path keeps one
-    `_SparseLaplacian` and gives it each call's entries.
+    are always strictly positive), so the component, what the Laplacian
+    sums where, and the levels of the spanning tree can be built once and
+    reused across every oracle call.  The component is the vertex set of
+    the BFS tree that `_repair_values` routes along.  The dense path sums
+    each call's terms with one `np.bincount` into their flat indices.  The
+    sparse path merges parallel edges: each kept edge's pair is the rank
+    of its key ``min * n_c + max`` among the distinct keys, and each call
+    sums the edges' conductances into their pairs.
     """
 
     def __init__(self, net: SymmetrizedNetwork):
@@ -227,46 +228,48 @@ class _StSolveContext:
         self.t_pos = int(pos[net.sink])
         keep = np.flatnonzero((net.tails != net.heads) & (pos[net.tails] >= 0))
         self.keep = keep
-        self.kt = pos[net.tails[keep]]
-        self.kh = pos[net.heads[keep]]
+        kt = pos[net.tails[keep]]
+        kh = pos[net.heads[keep]]
         self.dense = self.n_c <= _DENSE_LIMIT
-        # Term k of each block sums into (row, col) at flat index
-        # row * n_c + col: the blocks are (kt, kt), (kh, kh), (kt, kh) and
-        # (kh, kt).
-        tn, hn = self.kt * self.n_c, self.kh * self.n_c
-        flat = np.concatenate([tn + self.kt, hn + self.kh, tn + self.kh, hn + self.kt])
-        del tn, hn
+        n = self.n_c
         if self.dense:
-            self._flat = flat
-        else:
-            # One stable sort of the flat indices: the pattern is the
-            # distinct ones in ascending, so row-major, order, and each
-            # term's slot is the rank of its index among them.
-            by_key = np.argsort(flat, kind="stable")
-            keys = flat[by_key]
-            del flat
-            distinct = np.ones(len(keys), dtype=bool)
-            np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
-            rank = np.cumsum(distinct)
-            rank -= 1
-            self._slot = np.empty(len(keys), dtype=np.int64)
-            self._slot[by_key] = rank
-            del by_key, rank
-            self._sparse = _SparseLaplacian(keys[distinct], self.n_c)
+            # Term k of each block sums into (row, col) at flat index
+            # row * n_c + col: the blocks are (kt, kt), (kh, kh), (kt, kh)
+            # and (kh, kt).
+            tn, hn = kt * n, kh * n
+            self._flat = np.concatenate([tn + kt, hn + kh, tn + kh, hn + kt])
+            return
+        # One stable sort of the edges' pair keys: the pairs are the
+        # distinct keys in ascending order, and each edge's pair is the
+        # rank of its key among them.  The sparse path keeps only these.
+        keys = np.minimum(kt, kh)
+        keys *= n
+        keys += np.maximum(kt, kh)
+        del kt, kh
+        by_key = np.argsort(keys, kind="stable")
+        keys = keys[by_key]
+        distinct = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+        rank = np.cumsum(distinct)
+        rank -= 1
+        self._pair = np.empty(len(keys), dtype=np.int64)
+        self._pair[by_key] = rank
+        del by_key, rank
+        pairs = keys[distinct]
+        del keys, distinct
+        self._a = pairs // n
+        self._b = pairs - self._a * n
 
     def laplacian(self, r: np.ndarray):
         g = 1.0 / r[self.keep]
-        data = np.concatenate([g, g, -g, -g])
         n = self.n_c
         if self.dense:
             # bincount adds the weights in input order, so every entry sums
             # the same terms in the same order as np.add.at over the four
             # blocks in turn would.
+            data = np.concatenate([g, g, -g, -g])
             return np.bincount(self._flat, data, n * n).reshape(n, n)
-        # The same matrix object each call, given fresh entries: the matrix
-        # a call returns is valid only until the next call.
-        self._sparse.data = np.bincount(self._slot, data, len(self._sparse.rows))
-        return self._sparse
+        return _SparseLaplacian(self._a, self._b, np.bincount(self._pair, g, len(self._a)), n)
 
 
 def _repair_tree(net: SymmetrizedNetwork) -> tuple[np.ndarray, list[tuple]]:

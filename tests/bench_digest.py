@@ -4,11 +4,13 @@
 
 Solves every instance of seeds 1..N (10 by default) of the three
 `perfbench` workloads with `approx_max_flow`, in one process, and prints
-per workload the solves, the oracle calls they counted and the electrical
-solves they made, then one SHA-256 over every solve's arc flows, values,
+per workload the solves, the oracle calls they counted, the electrical
+solves they made and one SHA-256 over its solves' arc flows, values,
 ``oracle_calls``, ``upper_bound``, ``search_iterations`` and
-``fail_count``.  Two trees whose digests match return the same solves bit
-for bit.  ``--src`` picks the ``src/`` directory to import the program
+``fail_count``; then one SHA-256 over every solve of every workload.  Two
+trees whose digests match return the same solves bit for bit, and a
+change that moves only one workload's bits leaves the others' digests as
+they were.  ``--src`` picks the ``src/`` directory to import the program
 from, this checkout's by default; the instances always come from this
 checkout's ``perfbench/workloads.py``, which is only imported.  Pytest
 does not collect this file.
@@ -46,18 +48,20 @@ def main() -> int:
     digest = hashlib.sha256()
     for name in workloads.CORPUS:
         solves = calls = 0
+        own = hashlib.sha256()
         seeds = range(1, args.seeds + 1)
         instances = [inst for seed in seeds for inst in workloads.workload(name, seed)]
         for inst in instances:
             network = emaxflow.parse_dimacs(inst.dimacs)
             result, report = emaxflow.approx_max_flow(network, inst.epsilon)
             calls += report.oracle_calls
-            digest.update(result.directed_flow.values.tobytes())
             figures = (result.value, report.approx_value, report.oracle_calls,
                        report.upper_bound, report.search_iterations, report.fail_count)
-            digest.update(repr(figures).encode())
+            for h in (digest, own):
+                h.update(result.directed_flow.values.tobytes())
+                h.update(repr(figures).encode())
         print(f"{name}: {len(instances)} solves, {calls} oracle calls, "
-              f"{solves} electrical solves")
+              f"{solves} electrical solves, sha256 {own.hexdigest()}")
     print(f"sha256 {digest.hexdigest()}")
     return 0
 

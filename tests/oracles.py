@@ -7,13 +7,13 @@ Laplacians as ``B diag(1/r) B^T``, with ``B`` SciPy's sparse incidence
 (`incidence_reference`), which the library's NumPy incidence product must
 match bit for bit.  The other ``*_reference`` functions keep
 the library's first, plain versions of cycle cancelling, the repair tree's
-BFS, tree repair, dense and sparse Laplacian assembly and the
-conjugate-gradient loop; the library's faster versions must return the
-same bits.  `path_flows_reference` keeps recovery's path walk as it was
-before each path and cycle took one pass; the library's walk must return
-its bits.  `scaled_recovery_reference` keeps the first arc-flow
-extraction, which only scaled; the library's recovery must never be worth
-less.
+BFS, tree repair, dense Laplacian assembly and the conjugate-gradient
+loop, and sum the sparse Laplacian over its merged vertex pairs with
+`np.add.at`; the library's faster versions must return the same bits.
+`path_flows_reference` keeps recovery's path walk as it was before each
+path and cycle took one pass; the library's walk must return its bits.
+`scaled_recovery_reference` keeps the first arc-flow extraction, which
+only scaled; the library's recovery must never be worth less.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from emaxflow import (
     RepairError,
     SymmetrizedNetwork,
 )
+from emaxflow.electrical import _st_context
 from emaxflow.network import Network, Provenance
 
 
@@ -560,29 +561,65 @@ def repair_values_reference(
     return vals
 
 
-def dense_laplacian_reference(ctx, r: np.ndarray) -> np.ndarray:
-    """The dense s-t Laplacian of an `electrical._StSolveContext`, assembled
-    by four `np.add.at` calls as first written.  The library must match it
-    bit for bit."""
+def kept_edge_ends(net: SymmetrizedNetwork):
+    """The `electrical._StSolveContext` of ``net``, and the positions in
+    its s-t component of the tails and heads of the edges it keeps."""
+    ctx = _st_context(net)
+    pos = np.full(net.vertex_count, -1, dtype=np.int64)
+    pos[ctx.idx] = np.arange(ctx.n_c)
+    return ctx, pos[net.tails[ctx.keep]], pos[net.heads[ctx.keep]]
+
+
+def dense_laplacian_reference(net: SymmetrizedNetwork, r: np.ndarray) -> np.ndarray:
+    """The dense s-t Laplacian of ``net``'s `electrical._StSolveContext`,
+    assembled by four `np.add.at` calls as first written.  The library
+    must match it bit for bit."""
+    ctx, kt, kh = kept_edge_ends(net)
     g = 1.0 / r[ctx.keep]
     L = np.zeros((ctx.n_c, ctx.n_c))
-    np.add.at(L, (ctx.kt, ctx.kt), g)
-    np.add.at(L, (ctx.kh, ctx.kh), g)
-    np.add.at(L, (ctx.kt, ctx.kh), -g)
-    np.add.at(L, (ctx.kh, ctx.kt), -g)
+    np.add.at(L, (kt, kt), g)
+    np.add.at(L, (kh, kh), g)
+    np.add.at(L, (kt, kh), -g)
+    np.add.at(L, (kh, kt), -g)
     return L
 
 
-def sparse_laplacian_reference(ctx, r: np.ndarray) -> sp.csr_matrix:
-    """The sparse s-t Laplacian of an `electrical._StSolveContext`, summed
-    into its slots and built as a new `csr_matrix` on the context's
-    pattern.  The library's matrix must give its entries, diagonal and
-    products bit for bit."""
-    g = 1.0 / r[ctx.keep]
-    data = np.concatenate([g, g, -g, -g])
-    A = ctx._sparse
-    summed = np.bincount(ctx._slot, data, len(A.rows))
-    return sp.csr_matrix((summed, (A.rows, A.cols)), shape=(ctx.n_c, ctx.n_c))
+class PairLaplacianReference:
+    """The Laplacian of edges ``a[k] < b[k]`` with conductances ``g[k]``,
+    each sum taken by `np.add.at` in edge order from 0.0: ``A @ x`` sums
+    ``g * (x[a] - x[b])`` into the ``a`` ends and into the ``b`` ends
+    apart and subtracts, and the diagonal adds the two sums of ``g``."""
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, g: np.ndarray, n: int):
+        self.a, self.b, self.g, self.n = a, b, g, n
+
+    def _at_ends(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        at_a, at_b = np.zeros(self.n), np.zeros(self.n)
+        np.add.at(at_a, self.a, w)
+        np.add.at(at_b, self.b, w)
+        return at_a, at_b
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        at_a, at_b = self._at_ends(self.g * (x[self.a] - x[self.b]))
+        return at_a - at_b
+
+    def diagonal(self) -> np.ndarray:
+        at_a, at_b = self._at_ends(self.g)
+        return at_a + at_b
+
+
+def sparse_laplacian_reference(net: SymmetrizedNetwork, r: np.ndarray) -> PairLaplacianReference:
+    """The sparse s-t Laplacian of ``net``'s `electrical._StSolveContext`:
+    its kept edges merged by vertex pair with `np.unique`, and each pair's
+    conductances summed by `np.add.at` in edge order.  The library's
+    operator must give its diagonal and products bit for bit."""
+    ctx, kt, kh = kept_edge_ends(net)
+    n = ctx.n_c
+    keys = np.minimum(kt, kh) * n + np.maximum(kt, kh)
+    pairs, pair_of_edge = np.unique(keys, return_inverse=True)
+    g = np.zeros(len(pairs))
+    np.add.at(g, pair_of_edge.ravel(), 1.0 / r[ctx.keep])
+    return PairLaplacianReference(pairs // n, pairs % n, g, n)
 
 
 def pcg_reference(A, b: np.ndarray, x: np.ndarray, atol: float):

@@ -36,6 +36,7 @@ from corpus import (
 from oracles import (
     dense_laplacian_reference,
     incidence_reference,
+    kept_edge_ends,
     laplacian_reference,
     min_energy_flow_dense,
     pcg_reference,
@@ -161,41 +162,46 @@ class TestSparsePath:
         return net, rng.uniform(0.05, 10.0, net.edge_count)
 
     def test_laplacian_within_summation_order_bound(self):
-        # The slots and the reference sum each entry's terms in different
-        # orders.  An entry sums k terms of one sign, so either order is
-        # within (k - 1) roundoff units of the exact sum, and k is at most
-        # the largest vertex degree.
+        # The operator sums each pair's conductances, then each vertex's
+        # pairs, and in a product takes each pair's difference first; the
+        # reference sums each entry's terms, then each row's entries times
+        # x.  Either is within about 2k roundoff units of the exact
+        # result, where k is the largest vertex degree: relative to the
+        # entry on the diagonal, and to |L| |x| in a product.
         net, r = self.network_and_resistances()
-        ctx = _st_context(net)
+        ctx, kt, kh = kept_edge_ends(net)
+        # Arcs into s and out of t make pairs whose edges run both ways.
+        forward = kt < kh
+        keys = np.minimum(kt, kh) * ctx.n_c + np.maximum(kt, kh)
+        assert len(np.intersect1d(keys[forward], keys[~forward]))
         L = ctx.laplacian(r)
         ref = laplacian_reference(net, r)[ctx.idx][:, ctx.idx].tocsr()
-        ref.sort_indices()
-        ref = ref.tocoo()
-        # The pattern is the reference's, in row-major order.
-        assert np.array_equal(L.rows, ref.row)
-        assert np.array_equal(L.cols, ref.col)
         loops = net.tails == net.heads
         degree = np.bincount(
             np.concatenate([net.tails[~loops], net.heads[~loops]]), minlength=net.vertex_count
         )
-        rtol = 2 * int(degree.max()) * np.finfo(np.float64).eps
-        assert (np.abs(L.data - ref.data) <= rtol * np.abs(ref.data)).all()
+        rtol = 2 * (2 * int(degree.max()) + 1) * np.finfo(np.float64).eps
+        diag = ref.diagonal()
+        assert (np.abs(L.diagonal() - diag) <= rtol * diag).all()
+        rng = np.random.default_rng(3)
+        for x in (rng.normal(size=ctx.n_c), rng.uniform(-1e6, 1e-6, ctx.n_c)):
+            assert (np.abs(L @ x - ref @ x) <= rtol * (abs(ref) @ np.abs(x))).all()
 
-    def test_laplacian_is_the_fresh_csr_matrix(self):
-        # One matrix object is given each call's entries; they, its
-        # diagonal and its products must be the bits a newly built
-        # csr_matrix on the same slots gives, whatever the call before.
+    def test_laplacian_is_the_fresh_pair_sum(self):
+        # Each call's operator, before and after the calls that follow it,
+        # must give the bits of `np.add.at` sums over the pairs at its own
+        # resistances.
         net, r = self.network_and_resistances()
         ctx = _st_context(net)
         rng = np.random.default_rng(5)
-        r2 = r[::-1].copy()
-        for rr in (r, r2, r):
-            L = ctx.laplacian(rr)
-            ref = sparse_laplacian_reference(ctx, rr)
-            assert np.array_equal(L.data, ref.data)
-            assert np.array_equal(L.diagonal(), ref.diagonal())
-            for x in (rng.normal(size=ctx.n_c), rng.uniform(-1e6, 1e-6, ctx.n_c)):
-                assert np.array_equal(L @ x, ref @ x)
+        xs = (rng.normal(size=ctx.n_c), rng.uniform(-1e6, 1e-6, ctx.n_c))
+        calls = []
+        for rr in (r, r[::-1].copy(), r):
+            calls.append((ctx.laplacian(rr), sparse_laplacian_reference(net, rr)))
+            for L, ref in calls:
+                assert np.array_equal(L.diagonal(), ref.diagonal())
+                for x in xs:
+                    assert np.array_equal(L @ x, ref @ x)
 
     def test_reused_matrix_does_not_alias_results(self):
         net, r1 = self.network_and_resistances()
@@ -237,7 +243,6 @@ def _pcg_both(ctx, rng, r, value, tol, start):
     if start != "cold":
         nearby = r if start == "solved" else r * rng.uniform(0.5, 2.0, len(r))
         x0, _, _ = pcg_reference(ctx.laplacian(nearby), b, x0, atol * 1e-3)
-    # Assembled after the start's solve: the sparse path reuses one matrix.
     A = ctx.laplacian(r)
     return _pcg(A, b, x0.copy(), atol), pcg_reference(A, b, x0.copy(), atol)
 
@@ -515,7 +520,7 @@ class TestDenseLaplacianMatchesReference:
         ctx = _st_context(net)
         assert ctx.connected and ctx.dense
         r = np.exp(np.random.default_rng(seed).uniform(-spread, spread, net.edge_count))
-        assert np.array_equal(ctx.laplacian(r), dense_laplacian_reference(ctx, r))
+        assert np.array_equal(ctx.laplacian(r), dense_laplacian_reference(net, r))
 
 
 class TestEnergy:
