@@ -292,7 +292,13 @@ def approx_max_flow(
     matters because the symmetrized max flow is
     ``min_S [(2+eps')*leaving(S) - eps'*entering(S)] + (1+eps')*U``, and
     capacity entering a cut's source side, which no s-t flow can use,
-    lowers the values the search can certify.
+    lowers the values the search can certify.  Each kept arc's capacity is
+    then clamped to the source/sink cut, the smaller of the capacity out
+    of the source and into the sink: no acyclic flow carries more than
+    F* <= that cut on an arc, so F* is unchanged, and a flow within the
+    clamped capacities is within the original ones.  A tiny bottleneck
+    next to the source or sink then no longer sits beside capacities far
+    larger than F*.
 
     Internally splits the accuracy budget: the symmetrization, bounded-flow
     solver, and recovery all run at eps' = epsilon/4, and the value search
@@ -308,10 +314,10 @@ def approx_max_flow(
     and one whose flow recovery rejects all lower the top: certified and
     unknown probes differ only in the next probe's start weights.
 
-    The oracle squares capacities, so when the largest lies outside
-    [2^-64, 2^64] the search runs on capacities scaled by the power of two
-    that brings it into [1, 2); the flow, its value and the upper bound are
-    scaled back, exactly, so feasibility holds bit for bit.
+    The oracle squares capacities, so when the largest clamped one lies
+    outside [2^-64, 2^64] the search runs on capacities scaled by the power
+    of two that brings it into [1, 2); the flow, its value and the upper
+    bound are scaled back, exactly, so feasibility holds bit for bit.
 
     ``on_trace``, when given, receives one dict per oracle call (the
     ``--trace`` line); without it no per-call record is built.
@@ -323,15 +329,24 @@ def approx_max_flow(
     eps_i = epsilon / 4.0
 
     useful = _useful_arcs(network)
-    big = float(network.capacities[useful].max(initial=0.0))
+    tails, heads = network.tails[useful], network.heads[useful]
+    caps = network.capacities[useful]
+    # The source/sink cut: no acyclic flow carries more on any arc.
+    top = float(min(caps[tails == network.source].sum(), caps[heads == network.sink].sum()))
+    caps = np.minimum(caps, top)
+    big = float(caps.max(initial=0.0))
     shift = math.frexp(big)[1] - 1 if big and not 2.0**-64 <= big <= 2.0**64 else 0
-    caps = np.ldexp(network.capacities, -shift) if shift else network.capacities
+    if shift:
+        caps = np.ldexp(caps, -shift)
+        top = math.ldexp(top, -shift)
     pruned = DirectedNetwork(
         network.vertex_count,
-        np.stack([network.tails[useful], network.heads[useful], caps[useful]], axis=1),
+        np.stack([tails, heads, caps], axis=1),
         network.source,
         network.sink,
     )
+    # The search keeps its locals to the end; it needs no copy of the arcs.
+    del tails, heads, caps
     best = RecoveryResult(
         directed_flow=FlowAssignment.zeros(pruned),
         value=0.0,
@@ -342,7 +357,6 @@ def approx_max_flow(
     oracle_calls = 0
     fail_count = 0
 
-    top = min(pruned.out_capacity(pruned.source), pruned.in_capacity(pruned.sink))
     upper = top
     if top > 0.0:
         net = symmetrize(pruned, eps_i)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import FlowAssignment, SymmetrizedNetwork, bfs_levels, incidence_product
+from .network import FlowAssignment, SymmetrizedNetwork, bfs_levels, incidence_product, radix_keys
 
 
 class DisconnectedNetworkError(ValueError):
@@ -201,9 +201,11 @@ class _StSolveContext:
     reused across every oracle call.  The component is the vertex set of
     the BFS tree that `_repair_values` routes along.  The dense path sums
     each call's terms with one `np.bincount` into their flat indices.  The
-    sparse path merges parallel edges: each kept edge's pair is the rank
-    of its key ``min * n_c + max`` among the distinct keys, and each call
-    sums the edges' conductances into their pairs.
+    sparse path merges parallel edges with one stable sort of the edges'
+    pair keys, lower end first and higher end second (radix sorts up to
+    65,536 vertices), which is the order of ``min * n_c + max``: each kept
+    edge's pair is the rank of its key among the distinct keys, and each
+    call sums the edges' conductances into their pairs.
     """
 
     def __init__(self, net: SymmetrizedNetwork):
@@ -239,26 +241,23 @@ class _StSolveContext:
             tn, hn = kt * n, kh * n
             self._flat = np.concatenate([tn + kt, hn + kh, tn + kh, hn + kt])
             return
-        # One stable sort of the edges' pair keys: the pairs are the
-        # distinct keys in ascending order, and each edge's pair is the
-        # rank of its key among them.  The sparse path keeps only these.
-        keys = np.minimum(kt, kh)
-        keys *= n
-        keys += np.maximum(kt, kh)
+        # The pairs are the distinct keys in ascending order, and each
+        # edge's pair is the rank of its key among them.  The sparse path
+        # keeps only these.
+        lo = np.minimum(kt, kh)
+        hi = np.maximum(kt, kh)
         del kt, kh
-        by_key = np.argsort(keys, kind="stable")
-        keys = keys[by_key]
-        distinct = np.ones(len(keys), dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+        by_key = np.lexsort((radix_keys(hi, n), radix_keys(lo, n)))
+        lo, hi = lo[by_key], hi[by_key]
+        distinct = np.ones(len(lo), dtype=bool)
+        distinct[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
         rank = np.cumsum(distinct)
         rank -= 1
-        self._pair = np.empty(len(keys), dtype=np.int64)
+        self._pair = np.empty(len(lo), dtype=np.int64)
         self._pair[by_key] = rank
         del by_key, rank
-        pairs = keys[distinct]
-        del keys, distinct
-        self._a = pairs // n
-        self._b = pairs - self._a * n
+        self._a = lo[distinct]
+        self._b = hi[distinct]
 
     def laplacian(self, r: np.ndarray):
         g = 1.0 / r[self.keep]

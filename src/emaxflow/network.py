@@ -96,12 +96,6 @@ class DirectedNetwork:
     def _incidence_ends(self) -> tuple[np.ndarray, np.ndarray | None]:
         return _incidence_ends(self.tails, self.heads)
 
-    def out_capacity(self, v: int) -> float:
-        return float(self.capacities[self.tails == v].sum())
-
-    def in_capacity(self, v: int) -> float:
-        return float(self.capacities[self.heads == v].sum())
-
     def total_capacity(self) -> float:
         return float(self.capacities.sum())
 
@@ -192,21 +186,32 @@ def incidence_product(net: Network, values: np.ndarray) -> np.ndarray:
     return np.bincount(ends, terms, net.vertex_count)
 
 
+def radix_keys(ids: np.ndarray, n: int) -> np.ndarray:
+    """Vertex ids of a graph on ``n`` vertices as keys for a stable sort:
+    16-bit up to 65,536 vertices, which NumPy sorts by radix, and the ids
+    themselves above that, which it sorts by timsort.  Every stable sort of
+    vertex ids in a solve takes its keys from here, so one solve never
+    faults in both sorts' code."""
+    return ids.astype(np.uint16) if n <= 65_536 else ids
+
+
 def bfs_levels(
     n: int, rows: np.ndarray, nbrs: np.ndarray, start: int
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Breadth-first search from ``start`` along the entries
     ``rows[j] -> nbrs[j]`` of a graph on ``n`` vertices.
 
-    Each vertex's entries are scanned in index order.  A level's
-    candidates are its vertices' entry lists, concatenated in level order,
-    and the first occurrence of each vertex not yet seen joins the next
-    level, reached by that entry: the visiting order of a first-in
-    first-out queue.  Returns the levels, level 0 being ``[start]``, and
-    for each vertex the entry it was reached by, -1 for the start and for
-    vertices not reached.  O(n + len(rows)) overall, one step per level.
+    Each vertex's entries are scanned in index order: one stable sort
+    groups them by vertex, a radix sort up to 65,536 vertices
+    (`radix_keys`).  A level's candidates are its vertices' entry lists,
+    concatenated in level order, and the first occurrence of each vertex
+    not yet seen joins the next level, reached by that entry: the visiting
+    order of a first-in first-out queue.  Returns the levels, level 0
+    being ``[start]``, and for each vertex the entry it was reached by, -1
+    for the start and for vertices not reached.  O(n + len(rows)) overall,
+    one step per level.
     """
-    by_row = np.argsort(rows, kind="stable")
+    by_row = np.argsort(radix_keys(rows, n), kind="stable")
     targets = nbrs[by_row]
     counts = np.bincount(rows, minlength=n)
     first_entry = np.cumsum(counts) - counts

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import DirectedNetwork, FlowAssignment, Provenance, SymmetrizedNetwork
+from .network import DirectedNetwork, FlowAssignment, Provenance, SymmetrizedNetwork, radix_keys
 
 
 # Relative tolerance of the range checks on a recovery's input.
@@ -198,31 +198,44 @@ def _path_flows(
     input's value.  Arc flows only shrink and an empty arc stays empty, so
     each vertex's scan pointer persists, and the walk costs O(m log m)
     for the order plus O(m + total length of the paths and cycles).
+
+    The adjacency is one flat list of arc indices, the positive arcs in
+    the fullest-first order of Python's ``sorted`` grouped by tail with a
+    stable sort (a radix sort up to 65,536 vertices, `radix_keys`), and
+    per vertex the start and end of its run in that list.
     """
     s, t = network.source, network.sink
+    n = network.vertex_count
     tails = network.tails.tolist()
     heads = network.heads.tolist()
     x = arc_vals.tolist()
     free = network.capacities.tolist()
-    out: list[list[int]] = [[] for _ in range(network.vertex_count)]
-    for k in sorted(range(len(x)), key=x.__getitem__, reverse=True):
-        if x[k] > 0.0:
-            out[tails[k]].append(k)
-    ptr = [0] * network.vertex_count
+    # Vertex v's positive out-arcs, fullest first, are out[ptr[v]:end[v]].
+    order = np.array(
+        [k for k in sorted(range(len(x)), key=x.__getitem__, reverse=True) if x[k] > 0.0],
+        dtype=np.int64,
+    )
+    by_tail = network.tails[order]
+    out = order[np.argsort(radix_keys(by_tail, n), kind="stable")].tolist()
+    counts = np.bincount(by_tail, minlength=n)
+    end = np.cumsum(counts)
+    ptr = (end - counts).tolist()
+    end = end.tolist()
+    # The walk needs only the lists.
+    del order, by_tail, counts
     # pos[v] is the place on the path of the arc out of v; -1 off the path.
-    pos = [-1] * network.vertex_count
+    pos = [-1] * n
     pos[s] = 0
     p = [0.0] * len(x)
     y = [0.0] * len(x)
     path: list[int] = []
     u = s
     while True:
-        adj = out[u]
-        i = ptr[u]
-        while i < len(adj) and x[adj[i]] == 0.0:
+        i, stop = ptr[u], end[u]
+        while i < stop and x[out[i]] == 0.0:
             i += 1
         ptr[u] = i
-        if i == len(adj):
+        if i == stop:
             if not path:
                 break
             k = path.pop()
@@ -230,7 +243,7 @@ def _path_flows(
             pos[u] = -1
             u = tails[k]
             continue
-        k = adj[i]
+        k = out[i]
         w = heads[k]
         path.append(k)
         # For finite floats x - c is 0.0 exactly when x == c, so the first

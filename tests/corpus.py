@@ -74,6 +74,29 @@ def grid_network(seed: int, rows: int, cols: int, cap_max: int = 100) -> Directe
     return DirectedNetwork(t + 1, arcs, source=s, sink=t)
 
 
+def criterion6_corpus() -> list[tuple[int, int, int]]:
+    """The (seed, n, m) of the 50 instances of acceptance criterion 6, up
+    to n = 200 and m = 2,000.  Instance i is
+    ``random_sized_network(1_000 + seed, n, m)``, solved at eps 0.1 when i
+    is even and 0.25 when it is odd."""
+    specs = []
+    rng_sizes = [
+        (20, 8, 30, 1, 4),      # count, n_lo, n_hi, m_lo_mult, m_hi_mult
+        (15, 30, 80, 2, 8),
+        (10, 80, 150, 3, 8),
+        (5, 150, 200, 4, 10),
+    ]
+    seed = 0
+    for count, n_lo, n_hi, m_lo, m_hi in rng_sizes:
+        for _ in range(count):
+            rng = random.Random(9000 + seed)
+            n = rng.randint(n_lo, n_hi)
+            m = min(rng.randint(m_lo * n, m_hi * n), 2000, n * (n - 1))
+            specs.append((seed, n, m))
+            seed += 1
+    return specs
+
+
 def reduction_corpus(count: int = 200):
     """The n<=12, m<=30, caps<=5 corpus used by several acceptance checks."""
     return [random_network(seed) for seed in range(count)]
@@ -85,7 +108,13 @@ def multigraph(seed: int) -> SymmetrizedNetwork:
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 10))
     m = int(rng.integers(0, 30))
-    tails, heads = rng.integers(0, n, m), rng.integers(0, n, m)
+    return multigraph_on(n, rng.integers(0, n, m), rng.integers(0, n, m))
+
+
+def multigraph_on(n: int, tails: np.ndarray, heads: np.ndarray) -> SymmetrizedNetwork:
+    """A `SymmetrizedNetwork` on ``n`` vertices, source 0 and sink n - 1,
+    whose edge k joins ``tails[k]`` to ``heads[k]``, each of capacity 1."""
+    m = len(tails)
     return SymmetrizedNetwork(
         n, 0, n - 1, 0.25, tails, heads, np.ones(m), np.zeros(m, dtype=np.int8),
         np.arange(m), np.ones(m),

@@ -622,6 +622,24 @@ def sparse_laplacian_reference(net: SymmetrizedNetwork, r: np.ndarray) -> PairLa
     return PairLaplacianReference(pairs // n, pairs % n, g, n)
 
 
+def sparse_pairs_reference(net: SymmetrizedNetwork):
+    """Each kept edge's pair and the pairs' ends ``a < b``, as the sparse
+    `electrical._StSolveContext` of ``net`` first built them: one stable
+    `int64` argsort of the keys ``min * n_c + max``, the pairs the distinct
+    keys in ascending order, and each edge's pair the rank of its key."""
+    ctx, kt, kh = kept_edge_ends(net)
+    n = ctx.n_c
+    keys = np.minimum(kt, kh) * n + np.maximum(kt, kh)
+    by_key = np.argsort(keys, kind="stable")
+    keys = keys[by_key]
+    distinct = np.ones(len(keys), dtype=bool)
+    distinct[1:] = keys[1:] != keys[:-1]
+    pair = np.empty(len(keys), dtype=np.int64)
+    pair[by_key] = np.cumsum(distinct) - 1
+    pairs = keys[distinct]
+    return pair, pairs // n, pairs % n
+
+
 def pcg_reference(A, b: np.ndarray, x: np.ndarray, atol: float):
     """`electrical._pcg` as first written, with a new array per vector
     operation.  The library must match it bit for bit."""

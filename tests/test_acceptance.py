@@ -36,7 +36,7 @@ from emaxflow.mwu import BoundedFlowResult
 from emaxflow.network import Provenance
 from emaxflow.recovery import cycle_cancel, extract_directed, subtract_and_halve
 
-from corpus import random_network, random_sized_network
+from corpus import criterion6_corpus, random_network, random_sized_network
 from oracles import (
     brute_force_max_flow,
     is_acyclic_support,
@@ -300,27 +300,6 @@ def test_c5_recovery_guarantee(corpus_sweep):
     assert checked > 0, msg
 
 
-def _criterion6_corpus():
-    specs = []
-    rng_sizes = [
-        (20, 8, 30, 1, 4),      # count, n_lo, n_hi, m_lo_mult, m_hi_mult
-        (15, 30, 80, 2, 8),
-        (10, 80, 150, 3, 8),
-        (5, 150, 200, 4, 10),
-    ]
-    import random as _random
-
-    seed = 0
-    for count, n_lo, n_hi, m_lo, m_hi in rng_sizes:
-        for _ in range(count):
-            rng = _random.Random(9000 + seed)
-            n = rng.randint(n_lo, n_hi)
-            m = min(rng.randint(m_lo * n, m_hi * n), 2000, n * (n - 1))
-            specs.append((seed, n, m))
-            seed += 1
-    return specs
-
-
 def test_c6_end_to_end_guarantee():
     """Criterion 6: on 50 seeded instances up to n=200, m=2000 and
     eps in {0.1, 0.25}, the driver returns a feasible flow worth at least
@@ -330,7 +309,7 @@ def test_c6_end_to_end_guarantee():
     total_calls = 0
     total_probes = 0
     ratios = []  # F/F*, with F* = 0 counted as 1
-    for i, (seed, n, m) in enumerate(_criterion6_corpus()):
+    for i, (seed, n, m) in enumerate(criterion6_corpus()):
         eps = (0.1, 0.25)[i % 2]
         G = random_sized_network(1_000 + seed, n, m)
         t0 = time.time()

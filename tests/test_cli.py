@@ -58,6 +58,16 @@ class TestSolve:
         assert report["exact_value"] == float(cap)
         assert report["ratio"] >= 0.75
 
+    def test_tiny_arc_next_to_a_unit_arc(self, tmp_path, capsys):
+        # The unit arc is clamped to the sink cut, 1e-160, so the oracle
+        # never squares a capacity that spans 1e160 to zero.
+        path = tmp_path / "path.max"
+        path.write_text("p max 3 2\nn 1 s\nn 3 t\na 1 2 1\na 2 3 1e-160\n")
+        assert main(["solve", "--input", str(path), "--epsilon", "0.25", "--exact-check"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["exact_value"] == 1e-160
+        assert report["ratio"] >= 0.75
+
     def test_bad_epsilon_is_usage_error(self, single_arc_file):
         assert main(["solve", "--input", single_arc_file, "--epsilon", "0.7"]) == 1
 

@@ -540,7 +540,8 @@ class TestApproxMaxFlow:
             monkeypatch.setattr(module, "oracle_step", spy)
         records = []
         _, report = approx_max_flow(G, 0.25, on_trace=records.append)
-        top = min(G.out_capacity(G.source), G.in_capacity(G.sink))
+        caps = G.capacities
+        top = min(caps[G.tails == G.source].sum(), caps[G.heads == G.sink].sum())
         assert (report.upper_bound < top) == bool(extra)
         assert len(steps) == report.oracle_calls + extra
         assert len(records) == report.oracle_calls
@@ -591,14 +592,21 @@ class TestApproxMaxFlow:
         assert rec.value >= 0.75
         assert rec.directed_flow.values[2] == 0.0
 
+    def test_tiny_bottleneck_next_to_a_unit_arc(self):
+        # The unit arc is clamped to the sink cut, 1e-10, before the search.
+        G = DirectedNetwork(3, [(0, 1, 1.0), (1, 2, 1e-10)], 0, 2)
+        rec, _ = approx_max_flow(G, 0.25)
+        assert rec.value >= 0.75e-10
+
     @pytest.mark.xfail(
         strict=True,
         reason="check_bounded_flow's value tolerance, 1e-9 of a target near the "
         "total capacity, lets a flow miss F* = 1e-10 by half",
     )
-    def test_tiny_bottleneck_next_to_a_unit_arc(self):
+    def test_tiny_bottleneck_between_unit_arcs(self):
+        # No arc exceeds the source/sink cut of 1, so nothing is clamped:
         # F* is 1e-10 of the total capacity, and the solve returns 0.53 F*.
-        G = DirectedNetwork(3, [(0, 1, 1.0), (1, 2, 1e-10)], 0, 2)
+        G = DirectedNetwork(4, [(0, 1, 1.0), (1, 2, 1e-10), (2, 3, 1.0)], 0, 3)
         rec, _ = approx_max_flow(G, 0.25)
         assert rec.value >= 0.75e-10
 

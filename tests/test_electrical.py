@@ -28,6 +28,7 @@ from emaxflow.electrical import (
 
 from corpus import (
     multigraph,
+    multigraph_on,
     nonempty_network,
     random_network,
     random_sized_network,
@@ -44,6 +45,7 @@ from oracles import (
     repair_values_reference,
     spanning_tree_reference,
     sparse_laplacian_reference,
+    sparse_pairs_reference,
 )
 
 
@@ -223,6 +225,46 @@ class TestSparsePath:
         assert np.linalg.norm(L @ res.potentials - b) <= tol * np.linalg.norm(b) * (1 + 1e-9)
         assert res.flow.interior_residual_max() <= 1e-12
         assert res.flow.source_outflow() == pytest.approx(3.0, abs=1e-12)
+
+
+class TestSparsePairs:
+    """The sparse context's pairs, ordered by a stable sort of 16-bit
+    ends, are those of a stable sort of the `int64` keys ``min * n_c +
+    max``: the same ranks, in the same order."""
+
+    @staticmethod
+    def check(n, ends):
+        tails, heads = np.array(ends, dtype=np.int64).T
+        net = multigraph_on(n, tails, heads)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(electrical, "_DENSE_LIMIT", 0)
+            ctx = _st_context(net)
+        assert ctx.connected and not ctx.dense
+        pair, a, b = sparse_pairs_reference(net)
+        assert np.array_equal(ctx._pair, pair)
+        assert np.array_equal(ctx._a, a)
+        assert np.array_equal(ctx._b, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 8),
+        ends=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=40),
+    )
+    def test_small_multigraphs(self, n, ends):
+        # Few vertices and many edges: parallel, antiparallel and
+        # self-loop edges abound; the first edge joins s and t.
+        self.check(n, [(0, n - 1)] + [(u % n, v % n) for u, v in ends])
+
+    def test_ids_past_16_bits(self):
+        # Over 65,536 vertices the ends sort as themselves; ids 65,536
+        # apart would share a 16-bit key.
+        n = 70_000
+        rng = np.random.default_rng(2)
+        star = [(0, v) for v in range(1, n)]
+        low = rng.integers(1, n - 65_536, 300)
+        extra = np.stack([low, low + 65_536], axis=1)
+        extra[::2] = extra[::2, ::-1]
+        self.check(n, star + extra.tolist() + extra[:50].tolist())
 
 
 @pytest.fixture(scope="module")

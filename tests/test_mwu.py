@@ -669,8 +669,8 @@ class TestWorkingTolerance:
 
     def test_holds_the_calls_of_strict_solves(self, monkeypatch):
         # 500 vertices, 2,500 arcs: a fixed working tolerance costs oracle
-        # calls here (195 against 183), the tightened one does not.
-        G = random_sized_network(1, 500, 2500)
+        # calls here (151 against 127), the tightened one does not.
+        G = random_sized_network(9, 500, 2500)
 
         def calls(tol, share):
             monkeypatch.setattr(mwu, "WORKING_TOLERANCE", tol)

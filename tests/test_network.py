@@ -96,11 +96,6 @@ class TestDirectedNetwork:
         with pytest.raises(ValueError):
             DirectedNetwork(2, [(0, 1, -1.0)], 0, 1)
 
-    def test_out_in_capacity(self):
-        net = DirectedNetwork(3, [(0, 1, 2), (0, 2, 3), (1, 2, 5)], 0, 2)
-        assert net.out_capacity(0) == 5
-        assert net.in_capacity(2) == 8
-
 
 class TestSymmetrize:
     def test_single_arc_example(self):
@@ -278,6 +273,17 @@ class TestBfsLevels:
         keep = rng.permutation(n - 1)
         levels = self.check(n, rows[keep], nbrs[keep], int(label[0]))
         assert len(levels) == n
+
+    def test_ids_past_16_bits(self):
+        # Over 65,536 vertices the entries sort on their int64 ids; ids
+        # 65,536 apart would share a 16-bit key.
+        n = 70_000
+        rng = np.random.default_rng(1)
+        low = rng.choice(n - 65_536, 20, replace=False)
+        verts = np.concatenate([low, low + 65_536])
+        rows, nbrs = rng.choice(verts, 400), rng.choice(verts, 400)
+        for start in (int(low[0]), int(low[0]) + 65_536):
+            self.check(n, rows, nbrs, start)
 
 
 def _bits(x: np.ndarray) -> bytes:
