@@ -32,9 +32,17 @@ EXIT_INTERNAL = 3
 EXIT_VERIFY = 4
 
 
-def _load_network(path: str) -> DirectedNetwork:
-    with open(path, "r", encoding="utf-8") as fp:
-        return parse_dimacs(fp)
+def _load_network(path: str) -> Optional[DirectedNetwork]:
+    """The network in a DIMACS file, or None once the reason it cannot be
+    read is printed."""
+    try:
+        with open(path, "r", encoding="utf-8") as fp:
+            return parse_dimacs(fp)
+    except OSError as exc:
+        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+    except DimacsParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    return None
 
 
 def _cannot_write(path: str, exc: OSError) -> int:
@@ -50,13 +58,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if not (0.0 < args.epsilon < 0.5):
         print(f"error: epsilon must lie in (0, 1/2), got {args.epsilon}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        network = _load_network(args.input)
-    except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except DimacsParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    network = _load_network(args.input)
+    if network is None:
         return EXIT_INPUT
 
     with contextlib.ExitStack() as stack:
@@ -167,13 +170,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not (0.0 < args.epsilon <= 0.5):
         print(f"error: epsilon must lie in (0, 1/2], got {args.epsilon}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        network = _load_network(args.input)
-    except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except DimacsParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    network = _load_network(args.input)
+    if network is None:
         return EXIT_INPUT
 
     exact, _ = exact_max_flow(network)
@@ -184,10 +182,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # U - leaving(S), and a minimum directed cut has leaving(S) = F*.
     lower = (2.0 + 2.0 * eps) * exact + total
     upper = (2.0 + eps) * exact + (1.0 + eps) * total
-    if network.edge_count > 0:
-        undirected, _ = undirected_max_flow_witness(symmetrize(network, eps))
-    else:
-        undirected = 0.0
+    undirected, _ = undirected_max_flow_witness(symmetrize(network, eps))
     print(f"exact directed max flow:    {_fmt(exact)}")
     print(f"undirected max flow:        {_fmt(undirected)}")
     print(f"reduction bounds:           [{_fmt(lower)}, {_fmt(upper)}]")

@@ -21,8 +21,10 @@ depends on the start, so this changes only how many oracle calls a probe
 takes.  Each MWU run takes its accuracy from the symmetrized network,
 built at eps', and per-call trace lines are built only for an
 ``on_trace`` callback.
-`exact_max_flow` is a plain blocking-flow (Dinic) implementation used for
-upper bounds in reports and for verification.
+The exact references for ``--exact-check`` and ``emaxflow verify``,
+`exact_max_flow` on the digraph and `undirected_max_flow_witness` on the
+symmetrized multigraph, share one blocking-flow (Dinic) routine over flat
+lists, `_max_flow`.
 """
 
 from __future__ import annotations
@@ -43,121 +45,97 @@ from .recovery import RecoveryError, RecoveryResult, recover_directed_flow
 _MAX_PROBES = 64
 
 
-class _Dinic:
-    """Blocking-flow max flow on an adjacency list with residual edges; an
-    arc's two edges count as saturated at a residual of at most ``tiny``."""
+def _max_flow(
+    n: int, tails: list[int], heads: list[int], forward: list[float], backward: list[float],
+    s: int, t: int,
+) -> tuple[float, list[float]]:
+    """Blocking-flow (Dinic) max flow over flat lists: the value and the
+    final residual capacities.
 
-    class _Edge:
-        __slots__ = ("to", "rev", "cap", "tiny")
-
-        def __init__(self, to: int, rev: int, cap: float, tiny: float):
-            self.to = to
-            self.rev = rev
-            self.cap = cap
-            self.tiny = tiny
-
-    def __init__(self, n: int):
-        self.n = n
-        self.g: list[list[_Dinic._Edge]] = [[] for _ in range(n)]
-
-    def add_edge(self, u: int, v: int, cap: float) -> tuple[int, int]:
-        tiny = 1e-12 * min(cap, 1.0)
-        fwd = _Dinic._Edge(v, len(self.g[v]), cap, tiny)
-        bwd = _Dinic._Edge(u, len(self.g[u]), 0.0, tiny)
-        self.g[u].append(fwd)
-        self.g[v].append(bwd)
-        return u, len(self.g[u]) - 1
-
-    def _bfs(self, s: int, t: int, level: list[int]) -> bool:
-        for i in range(self.n):
-            level[i] = -1
+    Residual edge 2k runs from ``tails[k]`` to ``heads[k]`` with capacity
+    ``forward[k]``, and 2k + 1 back with ``backward[k]`` (0 for an arc, the
+    capacity for an undirected edge); the reverse of e is e ^ 1.  Both are
+    saturated at a residual of at most 1e-12 * min(forward[k], 1).  Each
+    phase levels the vertices by BFS and pushes paths found by an iterative
+    depth-first search, so no recursion limit bounds a path; a vertex's
+    pointer ``it`` passes only edges that fail the level test or lead to a
+    dead end.
+    """
+    to = [v for pair in zip(heads, tails) for v in pair]
+    res = [c for pair in zip(forward, backward) for c in pair]
+    tiny = [1e-12 * min(c, 1.0) for c in forward for _ in (0, 1)]
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for e in range(len(to)):
+        adj[to[e ^ 1]].append(e)
+    flow = 0.0
+    while True:
+        level = [-1] * n
         level[s] = 0
         q = deque([s])
         while q:
             u = q.popleft()
-            for e in self.g[u]:
-                if e.cap > e.tiny and level[e.to] < 0:
-                    level[e.to] = level[u] + 1
-                    q.append(e.to)
-        return level[t] >= 0
-
-    def _augment(self, s: int, t: int, level: list[int], it: list[int]) -> float:
-        """Push one blocking-flow path from s to t; 0.0 when none is left.
-
-        Iterative depth-first search, so path length is not bounded by the
-        recursion limit.  A vertex's pointer ``it`` advances only past an
-        edge that led to a dead end or fails the level test.
-        """
-        path: list[_Dinic._Edge] = []
-        verts = [s]
+            for e in adj[u]:
+                v = to[e]
+                if level[v] < 0 and res[e] > tiny[e]:
+                    level[v] = level[u] + 1
+                    q.append(v)
+        if level[t] < 0:
+            return flow, res
+        it = [0] * n
+        path: list[int] = []
         u = s
-        while u != t:
-            adj = self.g[u]
-            while it[u] < len(adj):
-                e = adj[it[u]]
-                if e.cap > e.tiny and level[e.to] == level[u] + 1:
-                    break
-                it[u] += 1
-            else:
-                if not path:
-                    return 0.0
-                path.pop()
-                verts.pop()
-                u = verts[-1]
-                it[u] += 1
-                continue
-            path.append(e)
-            verts.append(e.to)
-            u = e.to
-        pushed = min(e.cap for e in path)
-        for e in path:
-            e.cap -= pushed
-            self.g[e.to][e.rev].cap += pushed
-        return pushed
-
-    def max_flow(self, s: int, t: int) -> float:
-        flow = 0.0
-        level = [-1] * self.n
-        while self._bfs(s, t, level):
-            it = [0] * self.n
-            pushed = self._augment(s, t, level, it)
-            while pushed > 0:
+        while True:
+            if u == t:
+                pushed = min(res[e] for e in path)
+                for e in path:
+                    res[e] -= pushed
+                    res[e ^ 1] += pushed
                 flow += pushed
-                pushed = self._augment(s, t, level, it)
-        return flow
+                path.clear()
+                u = s
+            edges, i, up = adj[u], it[u], level[u] + 1
+            while i < len(edges):
+                e = edges[i]
+                if level[to[e]] == up and res[e] > tiny[e]:
+                    it[u] = i
+                    path.append(e)
+                    u = to[e]
+                    break
+                i += 1
+            else:
+                it[u] = i
+                if not path:
+                    break
+                u = to[path.pop() ^ 1]
+                it[u] += 1
 
 
 def exact_max_flow(network: DirectedNetwork) -> tuple[float, FlowAssignment]:
-    """Exact max flow value and a witness flow (blocking-flow algorithm).
-    An arc is saturated at a residual of at most 1e-12 times its own
-    capacity, capped at 1e-12, so integer capacities give exact values."""
-    dinic = _Dinic(network.vertex_count)
-    handles = []
-    for u, v, c in zip(network.tails, network.heads, network.capacities):
-        handles.append(dinic.add_edge(int(u), int(v), float(c)))
-    value = dinic.max_flow(network.source, network.sink)
-    flows = np.empty(network.edge_count)
-    for i, (u, slot) in enumerate(handles):
-        e = dinic.g[u][slot]
-        flows[i] = float(network.capacities[i]) - e.cap
-    np.clip(flows, 0.0, network.capacities, out=flows)
+    """Exact max flow value and a witness flow (`_max_flow`).  An arc is
+    saturated at a residual of at most 1e-12 times its own capacity,
+    capped at 1e-12, so integer capacities give exact values."""
+    caps = network.capacities
+    value, res = _max_flow(
+        network.vertex_count, network.tails.tolist(), network.heads.tolist(),
+        caps.tolist(), [0.0] * network.edge_count, network.source, network.sink,
+    )
+    flows = np.clip(caps - np.array(res[0::2]), 0.0, caps)
     return value, FlowAssignment(network, flows)
 
 
 def undirected_max_flow_witness(net: SymmetrizedNetwork) -> tuple[float, FlowAssignment]:
     """Exact max flow of the undirected multigraph and a witness edge flow.
-
-    Each undirected edge that is not a self-loop becomes two antiparallel
-    arcs of its capacity, one after the other; the witness value on an edge
-    is forward minus backward arc flow.
-    """
+    Each edge but a self-loop goes to `_max_flow` once, with its capacity
+    both ways, and carries its capacity minus its forward residual, signed
+    along the edge; a self-loop carries 0."""
     keep = np.flatnonzero(net.tails != net.heads)
-    ends = np.stack([net.tails[keep], net.heads[keep]], axis=1)
-    arcs = zip(ends.ravel(), ends[:, ::-1].ravel(), np.repeat(net.capacities[keep], 2))
-    both = DirectedNetwork(net.vertex_count, arcs, net.source, net.sink)
-    value, flow = exact_max_flow(both)
+    caps = net.capacities[keep]
+    value, res = _max_flow(
+        net.vertex_count, net.tails[keep].tolist(), net.heads[keep].tolist(),
+        caps.tolist(), caps.tolist(), net.source, net.sink,
+    )
     vals = np.zeros(net.edge_count)
-    vals[keep] = flow.values[0::2] - flow.values[1::2]
+    vals[keep] = np.clip(caps - np.array(res[0::2]), -caps, caps)
     return value, FlowAssignment(net, vals)
 
 
@@ -336,9 +314,8 @@ def approx_max_flow(
     caps = np.minimum(caps, top)
     big = float(caps.max(initial=0.0))
     shift = math.frexp(big)[1] - 1 if big and not 2.0**-64 <= big <= 2.0**64 else 0
-    if shift:
-        caps = np.ldexp(caps, -shift)
-        top = math.ldexp(top, -shift)
+    caps = np.ldexp(caps, -shift)
+    top = math.ldexp(top, -shift)
     pruned = DirectedNetwork(
         network.vertex_count,
         np.stack([tails, heads, caps], axis=1),
@@ -422,11 +399,12 @@ def approx_max_flow(
 
     flows = np.zeros(network.edge_count)
     flows[useful] = best.directed_flow.values
-    if shift:
-        flows = np.ldexp(flows, shift)
     best = replace(
-        best, directed_flow=FlowAssignment(network, flows), value=math.ldexp(best.value, shift)
+        best,
+        directed_flow=FlowAssignment(network, np.ldexp(flows, shift)),
+        value=math.ldexp(best.value, shift),
     )
+    wall_time_ms = (time.perf_counter() - t0) * 1000.0
 
     exact_value = None
     ratio = None
@@ -449,7 +427,7 @@ def approx_max_flow(
         oracle_calls=oracle_calls,
         mwu_iterations_total=oracle_calls,
         fail_count=fail_count,
-        wall_time_ms=(time.perf_counter() - t0) * 1000.0,
+        wall_time_ms=wall_time_ms,
         upper_bound=math.ldexp(upper, shift),
     )
     return best, report

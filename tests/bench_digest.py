@@ -13,7 +13,9 @@ change that moves only one workload's bits leaves the others' digests as
 they were.  ``--c6`` solves the 50 instances of acceptance criterion 6
 (`corpus.criterion6_corpus`) instead, with the exact check, and prints
 their oracle calls, probes, mean and least ``F/F*``, the instances below
-``(1 - eps) F*`` and one SHA-256 over the same figures of every solve.
+``(1 - eps) F*`` and one SHA-256 over the same figures of every solve,
+then on a line of its own one SHA-256 over each instance's
+`exact_max_flow` value and witness arc flows.
 ``--src`` picks the ``src/`` directory to import the program from, this
 checkout's by default; the instances always come from this checkout's
 ``perfbench/workloads.py`` and ``tests/corpus.py``, which are only
@@ -39,7 +41,7 @@ def _update(digests, result, report) -> None:
 
 
 def _c6(emaxflow, corpus) -> None:
-    digest = hashlib.sha256()
+    digest, exact = hashlib.sha256(), hashlib.sha256()
     calls = probes = 0
     ratios, misses = [], []
     for i, (seed, n, m) in enumerate(corpus.criterion6_corpus()):
@@ -53,9 +55,13 @@ def _c6(emaxflow, corpus) -> None:
         if fstar > 0 and result.value < (1 - eps) * fstar - 1e-9:
             misses.append(i)
         _update([digest], result, report)
+        value, witness = emaxflow.exact_max_flow(network)
+        exact.update(witness.values.tobytes())
+        exact.update(repr(value).encode())
     print(f"c6: {len(ratios)} solves, {calls} oracle calls, {probes} probes, "
           f"F/F* mean {sum(ratios) / len(ratios):.4f} least {min(ratios):.4f}, "
           f"misses {misses}, sha256 {digest.hexdigest()}")
+    print(f"exact: sha256 {exact.hexdigest()}")
 
 
 def main() -> int:

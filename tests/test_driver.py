@@ -1,6 +1,7 @@
 import inspect
 import json
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from emaxflow.driver import _MAX_PROBES, _threshold_cut, undirected_max_flow_wit
 
 from corpus import (
     grid_network,
+    multigraph,
     nonempty_network,
     random_network,
     random_sized_network,
@@ -148,6 +150,17 @@ class TestExactUndirected:
             assert undirected_max_flow_witness(net)[0] == pytest.approx(
                 undirected_min_cut(net), rel=1e-9
             )
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_raw_multigraph(self, seed):
+        # Parallel edges, self-loops and, on 50 seeds, a zero s-t cut.
+        net = multigraph(seed)
+        value, flow = undirected_max_flow_witness(net)
+        assert value == pytest.approx(undirected_min_cut(net), rel=1e-9, abs=0.0)
+        assert flow.source_outflow() == pytest.approx(value, abs=1e-9)
+        assert flow.interior_residual_max() <= 1e-9 * max(1.0, value)
+        assert (np.abs(flow.values) <= net.capacities).all()
+        assert (flow.values[net.tails == net.heads] == 0.0).all()
 
     def test_witness_conserves(self):
         net = symmetrize(nonempty_network(3), 0.25)
@@ -652,6 +665,19 @@ class TestSolveReport:
         assert d["upper_bound"] == 5.0
         del d["upper_bound"]
         assert SolveReport.from_dict(d).upper_bound is None
+
+    def test_wall_time_leaves_out_the_exact_check(self, monkeypatch):
+        # The exact reference runs after the solve's clock is read.
+        exact = emaxflow.driver.exact_max_flow
+
+        def slow(network):
+            time.sleep(0.5)
+            return exact(network)
+
+        monkeypatch.setattr(emaxflow.driver, "exact_max_flow", slow)
+        _, report = approx_max_flow(diamond(), 0.25, exact_check=True)
+        assert report.exact_value == 5.0
+        assert report.wall_time_ms < 250.0
 
     def test_additive_keys_are_harmless(self):
         # A report from a later version may carry keys this one lacks, and a
