@@ -65,20 +65,18 @@ def oracle_width(net: SymmetrizedNetwork) -> float:
     return math.sqrt(27.0 * net.m_arcs / net.epsilon)
 
 
-def compute_resistances(
-    net: SymmetrizedNetwork, weights: np.ndarray, epsilon: float
-) -> np.ndarray:
+def compute_resistances(net: SymmetrizedNetwork, weights: np.ndarray) -> np.ndarray:
     """Edge resistances (w + eps*|w|_1/(3*edges)) / u_parent^2.
 
     The additive regularizer keeps every resistance bounded away from zero
     relative to the weight total; with all weights tied it reduces to a
     per-arc form because each arc owns exactly three edges.
     """
-    reg = epsilon * float(weights.sum()) / (3.0 * net.edge_count)
+    reg = net.epsilon * float(weights.sum()) / (3.0 * net.edge_count)
     return (weights + reg) / (net.parent_capacity**2)
 
 
-def fail_threshold(net: SymmetrizedNetwork, weights: np.ndarray, epsilon: float) -> float:
+def fail_threshold(net: SymmetrizedNetwork, weights: np.ndarray) -> float:
     """Energy ceiling above which an oracle step may report failure.
 
     (1 + eps/10) * sum_a (w_a + regularizer) * (cap_a / u_parent_a)^2.  The
@@ -89,9 +87,10 @@ def fail_threshold(net: SymmetrizedNetwork, weights: np.ndarray, epsilon: float)
     ``D(phi)`` is over the unpadded threshold, or when a strict re-solve's
     energy is still over the threshold (`oracle_step`).
     """
-    reg = epsilon * float(weights.sum()) / (3.0 * net.edge_count)
+    eps = net.epsilon
+    reg = eps * float(weights.sum()) / (3.0 * net.edge_count)
     beta = net.capacities / net.parent_capacity
-    return float((1.0 + epsilon / 10.0) * np.sum((weights + reg) * beta * beta))
+    return float((1.0 + eps / 10.0) * np.sum((weights + reg) * beta * beta))
 
 
 #: Each updated weight is at least this times the largest, so repeated
@@ -185,8 +184,8 @@ def oracle_step(
     if target_value < 0:
         raise ValueError("target_value must be nonnegative")
     eps = net.epsilon
-    r = compute_resistances(net, weights, eps)
-    threshold = fail_threshold(net, weights, eps)
+    r = compute_resistances(net, weights)
+    threshold = fail_threshold(net, weights)
     strict_tol = default_solve_tolerance(eps, net.edge_count)
     try:
         result = electrical_st_flow(

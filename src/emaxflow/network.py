@@ -12,7 +12,6 @@ breadth-first search `bfs_levels` that also finds the arcs on s-t paths.
 
 from __future__ import annotations
 
-import enum
 from functools import cached_property
 from typing import Iterable, TextIO, Union
 
@@ -25,14 +24,6 @@ class DimacsParseError(ValueError):
     def __init__(self, message: str, line: int):
         super().__init__(f"{message}, line {line}")
         self.line = line
-
-
-class Provenance(enum.IntEnum):
-    """Which of the three symmetrization edges a given edge is."""
-
-    ORIGINAL = 0
-    SOURCE_LINK = 1
-    SINK_LINK = 2
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -110,8 +101,12 @@ class SymmetrizedNetwork:
     """The undirected multigraph produced by `symmetrize`.
 
     Edges are stored arc-major: arc i contributes edges 3i (original),
-    3i+1 (source link), 3i+2 (sink link).  Each edge has a canonical
-    positive orientation tail -> head; flows are signed against it.
+    3i+1 (source link), 3i+2 (sink link), and this layout is the only
+    record of which edge is which.  Each edge has a canonical positive
+    orientation tail -> head; flows are signed against it.  The arc
+    properties (`m_arcs`, `arc_capacities`, `parent_capacity`) read the
+    layout, so they hold only for what `symmetrize` builds; a multigraph
+    built here directly has only its edges.
     """
 
     def __init__(
@@ -123,9 +118,6 @@ class SymmetrizedNetwork:
         tails: np.ndarray,
         heads: np.ndarray,
         capacities: np.ndarray,
-        provenance: np.ndarray,
-        parent_arc: np.ndarray,
-        arc_capacities: np.ndarray,
     ):
         self.vertex_count = int(vertex_count)
         self.source = int(source)
@@ -134,14 +126,20 @@ class SymmetrizedNetwork:
         self.tails = _readonly(tails)
         self.heads = _readonly(heads)
         self.capacities = _readonly(capacities)
-        self.provenance = _readonly(provenance)
-        self.parent_arc = _readonly(parent_arc)
-        self.arc_capacities = _readonly(arc_capacities)
-        self.parent_capacity = _readonly(arc_capacities[parent_arc])
 
     @property
     def m_arcs(self) -> int:
-        return len(self.arc_capacities)
+        return self.edge_count // 3
+
+    @property
+    def arc_capacities(self) -> np.ndarray:
+        """Each arc's capacity: that of its original edge."""
+        return self.capacities[0::3]
+
+    @cached_property
+    def parent_capacity(self) -> np.ndarray:
+        """Per edge, the capacity of the arc it comes from."""
+        return _readonly(np.repeat(self.arc_capacities, 3))
 
     @property
     def edge_count(self) -> int:
@@ -273,8 +271,6 @@ def symmetrize(network: DirectedNetwork, epsilon: float) -> SymmetrizedNetwork:
     tails = np.stack([u, s, u], axis=1).ravel()
     heads = np.stack([v, v, t], axis=1).ravel()
     caps = np.stack([c, boosted, boosted], axis=1).ravel()
-    prov = np.tile(np.array([0, 1, 2], dtype=np.int8), m)
-    parent = np.repeat(np.arange(m, dtype=np.int64), 3)
     return SymmetrizedNetwork(
         vertex_count=network.vertex_count,
         source=network.source,
@@ -283,9 +279,6 @@ def symmetrize(network: DirectedNetwork, epsilon: float) -> SymmetrizedNetwork:
         tails=tails,
         heads=heads,
         capacities=caps,
-        provenance=prov,
-        parent_arc=parent,
-        arc_capacities=np.array(network.capacities, dtype=np.float64),
     )
 
 
@@ -407,7 +400,7 @@ def parse_dimacs(text: str | TextIO) -> DirectedNetwork:
     return DirectedNetwork(n, arcs, source, sink)
 
 
-def write_dimacs(network: DirectedNetwork, fp: TextIO | None = None) -> str:
+def write_dimacs(network: DirectedNetwork) -> str:
     """Serialize a network in DIMACS max-flow format (1-based vertex ids).
 
     Capacities print with 17 significant digits, enough for every float to
@@ -418,7 +411,4 @@ def write_dimacs(network: DirectedNetwork, fp: TextIO | None = None) -> str:
     lines.append(f"n {network.sink + 1} t")
     for u, v, c in zip(network.tails, network.heads, network.capacities):
         lines.append(f"a {u + 1} {v + 1} {c:.17g}")
-    text = "\n".join(lines) + "\n"
-    if fp is not None:
-        fp.write(text)
-    return text
+    return "\n".join(lines) + "\n"

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import DirectedNetwork, FlowAssignment, Provenance, SymmetrizedNetwork, radix_keys
+from .network import DirectedNetwork, FlowAssignment, SymmetrizedNetwork, radix_keys
 
 
 # Relative tolerance of the range checks on a recovery's input.
@@ -52,7 +52,7 @@ class RecoveryResult:
 def link_routing_values(net: SymmetrizedNetwork) -> np.ndarray:
     """The summed canonical routings, one per arc: (1+eps)*u via the source
     link, backwards across the original edge, and out the sink link."""
-    sign = np.array([-1.0, 1.0, 1.0])[net.provenance]
+    sign = np.tile([-1.0, 1.0, 1.0], net.m_arcs)
     return sign * (1.0 + net.epsilon) * net.parent_capacity
 
 
@@ -73,7 +73,7 @@ def subtract_and_halve(flow: FlowAssignment) -> FlowAssignment:
     vals = 0.5 * (flow.values - link_routing_values(net))
     bound = (1.0 + net.epsilon) * net.parent_capacity
     tol = _RANGE_RTOL * np.maximum(1.0, bound)
-    original = net.provenance == Provenance.ORIGINAL
+    original = np.tile([True, False, False], net.m_arcs)
     bad_low = np.where(original, vals < -tol, vals < -bound - tol)
     bad_high = np.where(original, vals > bound + tol, vals > tol)
     if bad_low.any() or bad_high.any():
@@ -280,21 +280,22 @@ def _path_flows(
 def extract_directed(flow: FlowAssignment, network: DirectedNetwork) -> RecoveryResult:
     """Read a halved symmetrized flow back onto the arcs of ``network``.
 
-    Only the original edges are read, and they must be nonnegative.  The
-    path flow of `_path_flows` is returned if it is within capacity.
-    Otherwise two feasible flows are formed: the path flow scaled by its
-    worst capacity ratio, which recovery's range bounds keep at most
-    (1+eps), and the truncated flow.  The truncated one is returned only if
-    it is worth strictly more, so the result is never worth less than the
-    scaled flow, and a tie keeps the scaled flow.
+    Only the original edges are read, edge 3i for arc i, so the flow's
+    network must have three edges per arc of ``network``, and they must be
+    nonnegative.  The path flow of `_path_flows` is returned if it is
+    within capacity.  Otherwise two feasible flows are formed: the path
+    flow scaled by its worst capacity ratio, which recovery's range bounds
+    keep at most (1+eps), and the truncated flow.  The truncated one is
+    returned only if it is worth strictly more, so the result is never
+    worth less than the scaled flow, and a tie keeps the scaled flow.
     """
     net = flow.network
     if not isinstance(net, SymmetrizedNetwork):
         raise TypeError("extract_directed expects a flow on a SymmetrizedNetwork")
-    if net.m_arcs != network.edge_count:
+    if net.edge_count != 3 * network.edge_count:
         raise ValueError("symmetrized network does not match the directed network")
     cap_scale = float(net.capacities.max()) if net.edge_count else 1.0
-    arc_vals = np.array(flow.values[np.asarray(net.provenance == Provenance.ORIGINAL)])
+    arc_vals = np.array(flow.values[0::3])
     if len(arc_vals) and float(arc_vals.min()) < -_RANGE_RTOL * max(1.0, cap_scale):
         raise RecoveryError(f"negative original-edge flow {arc_vals.min():.3e}")
     np.clip(arc_vals, 0.0, None, out=arc_vals)

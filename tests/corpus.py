@@ -114,8 +114,4 @@ def multigraph(seed: int) -> SymmetrizedNetwork:
 def multigraph_on(n: int, tails: np.ndarray, heads: np.ndarray) -> SymmetrizedNetwork:
     """A `SymmetrizedNetwork` on ``n`` vertices, source 0 and sink n - 1,
     whose edge k joins ``tails[k]`` to ``heads[k]``, each of capacity 1."""
-    m = len(tails)
-    return SymmetrizedNetwork(
-        n, 0, n - 1, 0.25, tails, heads, np.ones(m), np.zeros(m, dtype=np.int8),
-        np.arange(m), np.ones(m),
-    )
+    return SymmetrizedNetwork(n, 0, n - 1, 0.25, tails, heads, np.ones(len(tails)))

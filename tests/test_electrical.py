@@ -540,8 +540,7 @@ class TestRepairTreeMatchesReference:
 
     def test_unreachable_sink(self):
         net = SymmetrizedNetwork(
-            5, 0, 4, 0.25, np.array([0, 1, 3, 2]), np.array([1, 2, 4, 2]), np.ones(4),
-            np.zeros(4, dtype=np.int8), np.arange(4), np.ones(4),
+            5, 0, 4, 0.25, np.array([0, 1, 3, 2]), np.array([1, 2, 4, 2]), np.ones(4)
         )
         assert not _st_context(net).connected
         assert_tree_is_reference(net)
@@ -697,7 +696,7 @@ class TestRepairFallback:
         net = symmetrize(nonempty_network(4, n_min=4), 0.25)
         weights = np.ones(net.edge_count)
         target = 2.0 + 1.25 * float(net.arc_capacities.sum())
-        r = mwu.compute_resistances(net, weights, 0.25)
+        r = mwu.compute_resistances(net, weights)
         with pytest.raises(RepairError):
             electrical_st_flow(net, r, target, 1e-2)
         return net, weights, target

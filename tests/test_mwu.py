@@ -56,33 +56,33 @@ class TestComputeResistances:
     def test_tied_unit_weights(self):
         # one unit-capacity arc, eps = 0.3: r = 1 + 0.3 * 3 / 9 = 1.1
         net = single_arc_net(eps=0.3)
-        r = compute_resistances(net, np.ones(3), 0.3)
+        r = compute_resistances(net, np.ones(3))
         assert r == pytest.approx([1.1, 1.1, 1.1], rel=1e-12)
 
     def test_capacity_scaling(self):
         net = single_arc_net(eps=0.3, cap=2.0)
-        r = compute_resistances(net, np.ones(3), 0.3)
+        r = compute_resistances(net, np.ones(3))
         assert r == pytest.approx([0.275, 0.275, 0.275], rel=1e-12)
 
     def test_vanishing_regularizer(self):
-        net = single_arc_net(eps=0.4, cap=3.0)
+        net = single_arc_net(eps=1e-12, cap=3.0)
         w = np.array([2.0, 5.0, 1.0])
-        r = compute_resistances(net, w, 1e-12)
+        r = compute_resistances(net, w)
         assert r == pytest.approx(w / 9.0, rel=1e-9)
 
 
 class TestFailThreshold:
     def test_tied_small_epsilon_approaches_weight_total(self):
-        net = single_arc_net(eps=1e-9 + 0.0001)  # symmetrize needs eps > 0
+        net = single_arc_net(eps=1e-4)
         w = np.ones(3)
-        t = fail_threshold(net, w, 1e-4)
+        t = fail_threshold(net, w)
         assert t == pytest.approx(3.0, rel=1e-3)
 
     def test_tied_exact_product(self):
         # eps = 0.5, tied unit weights on one arc: the closed form is
         # (1 + eps/10)(1 + eps/3)((1 + 2(1+eps)^2)/3) * total = 6.7375
         net = single_arc_net(eps=0.5)
-        t = fail_threshold(net, np.ones(3), 0.5)
+        t = fail_threshold(net, np.ones(3))
         assert t == pytest.approx(6.7375, rel=1e-12)
         closed = (1 + 0.05) * (1 + 0.5 / 3) * ((1 + 2 * 1.5**2) / 3) * 3.0
         assert t == pytest.approx(closed, rel=1e-12)
@@ -91,7 +91,7 @@ class TestFailThreshold:
         net = symmetrize(nonempty_network(8), 0.25)
         c = 1.7
         w = np.full(net.edge_count, c)
-        t = fail_threshold(net, w, 0.25)
+        t = fail_threshold(net, w)
         eps = 0.25
         closed = (1 + eps / 10) * (1 + eps / 3) * ((1 + 2 * (1 + eps) ** 2) / 3) * w.sum()
         assert t == pytest.approx(closed, rel=1e-12)
@@ -108,7 +108,7 @@ class TestFailThreshold:
             + (w[1] + reg) * (1 + eps) ** 2
             + (w[2] + reg) * (1 + eps) ** 2
         )
-        assert fail_threshold(net, w, eps) == pytest.approx(expected, rel=1e-12)
+        assert fail_threshold(net, w) == pytest.approx(expected, rel=1e-12)
 
 
 class TestOracleStep:
@@ -748,7 +748,7 @@ class TestOracleInequalities:
         target = min(2 * fstar + (1 + eps) * G.total_capacity(), maxval)
         w = np.ones(net.edge_count)
         _, _, diag = oracle_step(net, w, target)
-        r = compute_resistances(net, w, eps)
+        r = compute_resistances(net, w)
         scaled = witness.values * (target / maxval)
         witness_energy = float(np.sum(r * scaled * scaled))
         assert diag.energy <= (1 + eps / 10) * witness_energy * (1 + 1e-9)

@@ -12,7 +12,7 @@ from emaxflow import (
     parse_dimacs,
     symmetrize,
 )
-from emaxflow.network import Provenance, bfs_levels, incidence_product, write_dimacs
+from emaxflow.network import bfs_levels, incidence_product, write_dimacs
 
 from corpus import multigraph, random_network
 from oracles import bfs_reference, directed_arcs_reference, incidence_reference
@@ -104,11 +104,9 @@ class TestSymmetrize:
         assert net.tails.tolist() == [0, 0, 0]
         assert net.heads.tolist() == [1, 1, 1]
         assert net.capacities.tolist() == [1.0, 1.5, 1.5]
-        assert net.provenance.tolist() == [
-            Provenance.ORIGINAL,
-            Provenance.SOURCE_LINK,
-            Provenance.SINK_LINK,
-        ]
+        assert net.m_arcs == 1
+        assert net.arc_capacities.tolist() == [1.0]
+        assert net.parent_capacity.tolist() == [1.0, 1.0, 1.0]
 
     def test_interior_arc(self):
         # arc (u, v) with u != s, v != t picks up links to s and t
@@ -131,12 +129,19 @@ class TestSymmetrize:
                 symmetrize(G, bad)
 
     def test_three_edges_per_arc_partition(self):
-        net = symmetrize(random_network(5), 0.3)
-        assert net.edge_count == 3 * net.m_arcs
-        for arc in range(net.m_arcs):
-            block = net.provenance[3 * arc : 3 * arc + 3]
-            assert sorted(block.tolist()) == [0, 1, 2]
-            assert (net.parent_arc[3 * arc : 3 * arc + 3] == arc).all()
+        # Arc i is edges 3i (original u-v), 3i+1 (source link s-v) and
+        # 3i+2 (sink link u-t), and all three carry its capacity as parent.
+        G = random_network(5)
+        net = symmetrize(G, 0.3)
+        s, t = G.source, G.sink
+        assert net.edge_count == 3 * net.m_arcs == 3 * G.edge_count
+        assert net.arc_capacities.tolist() == G.capacities.tolist()
+        for arc, (u, v, c) in enumerate(zip(G.tails, G.heads, G.capacities)):
+            block = slice(3 * arc, 3 * arc + 3)
+            assert net.tails[block].tolist() == [u, s, u]
+            assert net.heads[block].tolist() == [v, v, t]
+            assert net.capacities[block].tolist() == [c, (1.0 + 0.3) * c, (1.0 + 0.3) * c]
+            assert net.parent_capacity[block].tolist() == [c, c, c]
 
     def test_deterministic(self):
         G = random_network(9)
@@ -145,7 +150,7 @@ class TestSymmetrize:
         assert (a.tails == b.tails).all()
         assert (a.heads == b.heads).all()
         assert (a.capacities == b.capacities).all()
-        assert (a.provenance == b.provenance).all()
+        assert (a.parent_capacity == b.parent_capacity).all()
 
     def test_tied_weight_total_triples(self):
         net = symmetrize(random_network(4), 0.2)
